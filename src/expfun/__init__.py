@@ -19,6 +19,7 @@ from .fundamental import (
     FundamentalEvaluator,
     basis,
     build_evaluator,
+    derivative_table,
     eval_derivative,
     eval_derivative_complex,
     eval_via_partial_fractions,
@@ -61,6 +62,7 @@ __all__ = [
     "check_necessary",
     "FundamentalEvaluator",
     "build_evaluator",
+    "derivative_table",
     "eval_derivative",
     "eval_derivative_complex",
     "basis",

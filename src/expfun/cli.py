@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .frequencies import FrequencyVector, check_necessary
-from .fundamental import build_evaluator, eval_derivative
+from .fundamental import build_evaluator, derivative_table
 from .inequalities import (
     CertificateKind,
     DEFAULT_GRID,
@@ -180,7 +180,8 @@ def _cmd_eval(config):
     samples = _positive_int(config, "samples", 65)
     ev = build_evaluator(freq)
     xs = np.linspace(lo, hi, samples)
-    rows = [[float(x), eval_derivative(ev, m, float(x))] for x in xs]
+    values = derivative_table(ev, xs, m)[:, m]
+    rows = [[float(x), float(v)] for x, v in zip(xs, values)]
     payload = {
         "command": "eval",
         "m": m,

@@ -8,6 +8,13 @@ Z**m @ expm(x*Z), where Z is the upper bidiagonal matrix carrying the
 frequencies on the diagonal and ones above it.  This representation needs no
 case analysis for repeated (confluent) frequencies.
 
+``derivative_table`` is the one evaluation path: it tabulates the orders
+0..m over a whole grid of abscissae.  ``eval_derivative`` and ``basis`` read
+one row of it, and ``eval_derivative_complex`` runs the same kernel without
+the real projection.  Points are grouped by scaling depth and processed in
+bounded chunks with a stacked Pade(13) scaling-and-squaring kernel, in real
+arithmetic when every frequency is real.
+
 Two independent evaluation routes, a partial-fraction sum (distinct
 frequencies only) and a truncated power series, are provided for
 cross-validation.
@@ -25,6 +32,7 @@ from .frequencies import FrequencyVector, as_frequency_vector, is_conjugate_clos
 __all__ = [
     "FundamentalEvaluator",
     "build_evaluator",
+    "derivative_table",
     "eval_derivative",
     "eval_derivative_complex",
     "basis",
@@ -48,46 +56,27 @@ _PADE_13 = (
 #: Refuse matrix exponentials whose scaling step would exceed 2**60.
 _MAX_SQUARINGS = 60
 
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring matrix exponential with a diagonal Pade(13) kernel."""
-    norm = float(np.linalg.norm(a, 2))
-    squarings = 0
-    if norm > _THETA_13:
-        squarings = int(math.ceil(math.log2(norm / _THETA_13)))
-    if squarings > _MAX_SQUARINGS:
-        raise ValueError(
-            f"matrix exponential needs 2**{squarings} scaling, beyond the 2**{_MAX_SQUARINGS} guard; "
-            "reduce |x| * max|frequency|"
-        )
-    a = a / (2.0 ** squarings)
-    b = _PADE_13
-    ident = np.eye(a.shape[0], dtype=a.dtype)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+#: Matrix entries per stacked array in one chunk of the batched kernel; this
+#: bounds the kernel's working memory whatever the number of abscissae.
+_CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
 class FundamentalEvaluator:
     """Precomputed state for evaluating derivatives of the fundamental solution.
 
-    ``opitz`` is the (n+1) x (n+1) upper bidiagonal matrix with the
-    frequencies on the diagonal and ones on the superdiagonal.  ``realify``
-    records whether the frequency vector is conjugate-closed, in which case
-    values are projected onto the reals after an imaginary-residue check.
+    ``diagonal`` holds the frequencies, the diagonal of the (n+1) x (n+1)
+    upper bidiagonal matrix Z with ones on its superdiagonal; it is real
+    when every frequency is real, and evaluation then runs in real
+    arithmetic.  ``norm`` is the spectral norm of Z, which fixes the scaling
+    depth at every abscissa.  ``realify`` records whether the frequency
+    vector is conjugate-closed, in which case values are projected onto the
+    reals after an imaginary-residue check.
     """
 
     freq: FrequencyVector
-    opitz: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False, compare=False)
+    norm: float
     realify: bool
 
     @property
@@ -98,74 +87,129 @@ class FundamentalEvaluator:
 def build_evaluator(freq) -> FundamentalEvaluator:
     """Build an evaluator for the given frequency vector."""
     freq = as_frequency_vector(freq)
-    count = len(freq)
-    z = np.zeros((count, count), dtype=complex)
-    for j, lam in enumerate(freq.entries):
-        z[j, j] = lam
-        if j + 1 < count:
-            z[j, j + 1] = 1.0
-    z.setflags(write=False)
-    return FundamentalEvaluator(freq=freq, opitz=z, realify=is_conjugate_closed(freq))
+    diagonal = np.array(freq.entries, dtype=complex)
+    if not diagonal.imag.any():
+        diagonal = diagonal.real.copy()
+    diagonal.setflags(write=False)
+    z = np.diag(diagonal) + np.diag(np.ones(len(diagonal) - 1), 1)
+    return FundamentalEvaluator(freq=freq, diagonal=diagonal, norm=float(np.linalg.norm(z, 2)),
+                                realify=is_conjugate_closed(freq))
 
 
-def _apply_opitz(ev: FundamentalEvaluator, vec: np.ndarray) -> np.ndarray:
-    # Bidiagonal multiply: (Z v)[i] = l_i v[i] + v[i+1].
-    diag = np.diagonal(ev.opitz)
-    out = diag * vec
-    out[:-1] += vec[1:]
-    return out
+def _checked_abscissae(xs, max_order: int) -> np.ndarray:
+    if max_order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("abscissae must form a one-dimensional sequence")
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise ValueError(f"abscissae must be finite, got x={float(xs[~finite][0])!r}")
+    return xs
 
 
-def _derivative_sequence(ev: FundamentalEvaluator, x: float, max_order: int) -> np.ndarray:
-    """Complex values of derivatives 0..max_order at x, via one matrix exponential.
-
-    The j-th derivative is the first component of Z**j applied to the last
-    column of expm(x*Z).
-    """
-    col = _expm(x * ev.opitz)[:, -1]
-    values = np.empty(max_order + 1, dtype=complex)
-    values[0] = col[0]
-    for j in range(1, max_order + 1):
-        col = _apply_opitz(ev, col)
-        values[j] = col[0]
-    return values
-
-
-def _project_real(value: complex) -> float:
-    if abs(value.imag) > REAL_PROJECTION_TOL * (1.0 + abs(value)):
-        raise ArithmeticError(
-            f"value {value!r} has a material imaginary part although the frequency "
-            "vector is conjugate-closed; evaluation is numerically unreliable here"
+def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
+    """Scaling depth ceil(log2(|x| |Z|_2 / theta_13)) per abscissa, 0 within theta_13."""
+    depth = np.ceil(np.log2(np.maximum(np.abs(xs) * ev.norm, _THETA_13) / _THETA_13))
+    worst = depth.max(initial=0.0)
+    if worst > _MAX_SQUARINGS:
+        raise ValueError(
+            f"matrix exponential needs 2**{worst:.0f} scaling, beyond the 2**{_MAX_SQUARINGS} guard; "
+            "reduce |x| * max|frequency|"
         )
-    return value.real
+    return depth.astype(int)
 
 
-def _derivative_values(ev: FundamentalEvaluator, x: float, max_order: int) -> np.ndarray:
-    """Real-projected derivative values 0..max_order at x."""
+def _chunks(ev: FundamentalEvaluator, xs: np.ndarray, max_order: int):
+    """Yield (rows, values) with derivatives 0..max_order at xs[rows].
+
+    Abscissae are ordered by scaling depth and walked in chunks of about
+    ``_CHUNK_ENTRIES`` matrix entries.  In a chunk the Pade(13) kernel runs
+    as stacked matrix products and one stacked solve, and each squaring acts
+    on the part of the chunk that still needs it.  The j-th derivative is the
+    first component of Z**j applied to the last column of expm(x*Z).  Values
+    are complex unless every frequency is real.
+    """
+    diag = ev.diagonal
+    count = len(diag)
+    squarings = _squarings(ev, xs)
+    order = np.argsort(squarings, kind="stable")
+    step = max(1, _CHUNK_ENTRIES // (count * count))
+    idx = np.arange(count)
+    ident = np.eye(count, dtype=diag.dtype)
+    b = _PADE_13
+    for lo in range(0, len(xs), step):
+        rows = order[lo:lo + step]
+        depth = squarings[rows]
+        t = xs[rows] / 2.0 ** depth
+        a = np.zeros((len(rows), count, count), dtype=diag.dtype)
+        a[:, idx, idx] = t[:, None] * diag
+        a[:, idx[:-1], idx[1:]] = t[:, None]
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+        r = np.linalg.solve(v - u, v + u)
+        for level in range(depth[-1]):
+            tail = r[np.searchsorted(depth, level, side="right"):]
+            tail[...] = tail @ tail
+        # Bidiagonal recurrence: (Z c)[i] = l_i c[i] + c[i+1].
+        col = r[:, :, -1]
+        values = np.empty((len(rows), max_order + 1), dtype=diag.dtype)
+        values[:, 0] = col[:, 0]
+        for j in range(1, max_order + 1):
+            nxt = diag * col
+            nxt[:, :-1] += col[:, 1:]
+            col = nxt
+            values[:, j] = col[:, 0]
+        yield rows, values
+
+
+def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray:
+    """Derivatives 0..max_order of the fundamental solution at every abscissa.
+
+    Returns a (len(xs), max_order + 1) float array whose row i holds
+    Phi(xs[i]), Phi'(xs[i]), ..., Phi^(max_order)(xs[i]); a row does not
+    depend on the other abscissae of the call.  Requires a conjugate-closed
+    frequency vector and finite abscissae; each value's imaginary residue is
+    checked against ``REAL_PROJECTION_TOL`` before projecting.
+    """
     if not ev.realify:
         raise ValueError(
             "frequency vector is not conjugate-closed; use eval_derivative_complex"
         )
-    seq = _derivative_sequence(ev, float(x), max_order)
-    return np.array([_project_real(complex(v)) for v in seq])
+    xs = _checked_abscissae(xs, max_order)
+    out = np.empty((len(xs), max_order + 1))
+    for rows, values in _chunks(ev, xs, max_order):
+        if np.iscomplexobj(values):
+            bad = np.abs(values.imag) > REAL_PROJECTION_TOL * (1.0 + np.abs(values))
+            if bad.any():
+                raise ArithmeticError(
+                    f"value {complex(values[bad][0])!r} has a material imaginary part although "
+                    "the frequency vector is conjugate-closed; evaluation is numerically "
+                    "unreliable here"
+                )
+            values = values.real
+        out[rows] = values
+    return out
 
 
 def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> complex:
     """m-th derivative of the fundamental solution at x, complex output."""
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    return complex(_derivative_sequence(ev, float(x), m)[m])
+    _, values = next(_chunks(ev, _checked_abscissae([x], m), m))
+    return complex(values[0, m])
 
 
 def eval_derivative(ev: FundamentalEvaluator, m: int, x: float) -> float:
-    """m-th derivative of the fundamental solution at x.
+    """m-th derivative of the fundamental solution at x: one row of ``derivative_table``.
 
     Requires a conjugate-closed frequency vector; the imaginary residue is
     checked against ``REAL_PROJECTION_TOL`` before projecting.
     """
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    return float(_derivative_values(ev, x, m)[m])
+    return float(derivative_table(ev, [x], m)[0, m])
 
 
 def basis(ev: FundamentalEvaluator, k: int, x: float) -> float:

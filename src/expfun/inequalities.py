@@ -23,9 +23,9 @@ from scipy.integrate import quad
 from .frequencies import as_frequency_vector, is_symmetric
 from .fundamental import (
     FundamentalEvaluator,
-    _derivative_values,
     basis,
     build_evaluator,
+    derivative_table,
     eval_derivative,
 )
 
@@ -131,7 +131,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         raise ValueError("sign must be +1 or -1")
 
     xs = np.linspace(lo, hi, grid)
-    vals = np.array([sign * eval_derivative(ev, m, x) for x in xs])
+    vals = sign * derivative_table(ev, xs, m)[:, m]
     bad = np.flatnonzero(vals < -tol)
     if bad.size == 0:
         return SignReport("nonnegative", None, None, grid, sign)
@@ -232,7 +232,7 @@ def hankel_matrix(ev: FundamentalEvaluator, k: int, x: float) -> HankelMatrix:
             "require 2k <= n + 1"
         )
     top = max(n, 2 * k)
-    vals = _derivative_values(ev, x, top)
+    vals = derivative_table(ev, [x], top)[0]
     h = np.empty((k + 1, k + 1))
     for r in range(k + 1):
         for s in range(k + 1):
@@ -286,7 +286,7 @@ def turan_ratio(ev: FundamentalEvaluator, x: float) -> float:
     in [1, n/(n-1)) for x in (0, B); outside that regime it can exceed the
     upper bound.
     """
-    vals = _derivative_values(ev, x, 2)
+    vals = derivative_table(ev, [x], 2)[0]
     denom = vals[2] * vals[0]
     if abs(denom) <= RATIO_DENOM_GUARD:
         raise ArithmeticError(
@@ -371,15 +371,13 @@ def _locate_derivative_zero(freq) -> Optional[float]:
     ev = build_evaluator(freq)
     scale = max(1.0, max(abs(v) for v in freq.entries))
     xs = np.geomspace(1e-3, 1e4, 400) / scale
-    prev_x, prev_pos = None, None
-    for x in xs:
-        val = eval_derivative(ev, 1, x)
-        pos = val > 0.0
-        if prev_pos and not pos:
-            negative = lambda t: eval_derivative(ev, 1, t) < 0.0
-            return _bisect_predicate(negative, prev_x, float(x), False)
-        prev_x, prev_pos = float(x), pos
-    return None
+    pos = derivative_table(ev, xs, 1)[:, 1] > 0.0
+    flips = np.flatnonzero(pos[:-1] & ~pos[1:])
+    if flips.size == 0:
+        return None
+    i = int(flips[0])
+    negative = lambda t: eval_derivative(ev, 1, t) < 0.0
+    return _bisect_predicate(negative, float(xs[i]), float(xs[i + 1]), False)
 
 
 def monotonicity_certificate(freq) -> MonotonicityCertificate:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_triangular
 
-from .fundamental import FundamentalEvaluator, _derivative_values
+from .fundamental import FundamentalEvaluator, derivative_table
 from .inequalities import as_polynomial, verify_sign
 
 __all__ = [
@@ -100,11 +100,11 @@ class MomentSequence:
         return len(self.values) - 1
 
 
-def _basis_row(ev: FundamentalEvaluator, t: float) -> np.ndarray:
-    # b_k(t) = k! Phi^(n-k)(t) for k = 0..n, from one matrix exponential.
+def _basis_sum(ev: FundamentalEvaluator, ts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # sum_i w_i b_k(t_i) for k = 0..n, with b_k(t) = k! Phi^(n-k)(t).
     n = ev.n
-    vals = _derivative_values(ev, t, n)
-    return np.array([math.factorial(k) * vals[n - k] for k in range(n + 1)])
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    return weights @ derivative_table(ev, ts, n)[:, ::-1] * factorials
 
 
 #: Starting Gauss-Legendre order for density transforms.
@@ -140,10 +140,8 @@ def transform(ev: FundamentalEvaluator, mu: Measure, grid: int = 512) -> MomentS
             )
 
     if mu.kind == "atoms":
-        s = np.zeros(ev.n + 1)
-        for x, w in mu.atoms:
-            if w != 0.0:
-                s += w * _basis_row(ev, x - a)
+        atoms = np.array([(x, w) for x, w in mu.atoms if w != 0.0]).reshape(-1, 2)
+        s = _basis_sum(ev, atoms[:, 0] - a, atoms[:, 1])
     else:
         s = _density_transform(ev, mu)
     return MomentSequence(tuple(s), support_length=length, origin=a,
@@ -163,10 +161,8 @@ def _density_transform(ev: FundamentalEvaluator, mu: Measure) -> np.ndarray:
         dens = np.array([mu.density(x) for x in xs])
         if np.any(dens < -1e-12 * (1.0 + np.abs(dens).max())):
             raise ValueError("density is negative at a quadrature node")
-        s = np.zeros(ev.n + 1)
-        for x, w, d in zip(xs, ws, dens):
-            if d != 0.0:
-                s += w * d * _basis_row(ev, x - a)
+        keep = dens != 0.0
+        s = _basis_sum(ev, xs[keep] - a, ws[keep] * dens[keep])
         if previous is not None:
             scale = 1.0 + np.abs(s).max()
             if np.abs(s - previous).max() <= _GL_STABILITY_TOL * scale:

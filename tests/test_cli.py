@@ -303,6 +303,13 @@ class TestHarness:
         code, _, err = run(capsys, ["eval", "--config", cfg])
         assert code == 3 and "numerical failure" in err
 
+    def test_non_finite_abscissa_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "frequencies": [-1, -2], "interval": [math.nan, 1.0], "samples": 3,
+        })
+        code, _, err = run(capsys, ["eval", "--config", cfg])
+        assert code == 3 and "finite" in err
+
     def test_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "frequencies": [-1, -2], "k": 1, "interval": [0, 3], "samples": 33,

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import expfun.fundamental as fundamental
 from expfun import (
     basis,
     build_evaluator,
+    derivative_table,
     eval_derivative,
     eval_derivative_complex,
     eval_via_partial_fractions,
@@ -226,3 +228,84 @@ class TestGuards:
         ev = build_evaluator([-1, -2])
         with pytest.raises(ValueError):
             eval_derivative(ev, -1, 0.0)
+
+
+def twelve_frequency_vectors():
+    real = list(np.linspace(-3.0, 3.0, 12))
+    pairs = [complex(-0.4 + 0.3 * k, s * (0.5 + 0.4 * k)) for k in range(6) for s in (1, -1)]
+    return real, pairs
+
+
+class TestDerivativeTable:
+    def test_rows_match_partial_fractions(self):
+        # A 12-frequency grid reaching squaring depths 0..3 over several chunks.
+        xs = np.linspace(-2.5, 8.0, 301)
+        for entries in twelve_frequency_vectors() + ([-1, -2], [0.5, 1j, -1j]):
+            ev = build_evaluator(entries)
+            max_order = len(entries) + 1
+            table = derivative_table(ev, xs, max_order)
+            assert table.shape == (len(xs), max_order + 1) and table.dtype == np.float64
+            ref = np.array([[eval_via_partial_fractions(entries, m, x).real
+                             for m in range(max_order + 1)] for x in xs])
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(np.abs(table - ref) <= 1e-12 * scale)
+            if len(entries) == 12:
+                assert len(set(fundamental._squarings(ev, xs))) >= 3
+                assert len(xs) > fundamental._CHUNK_ENTRIES // 144
+
+    def test_row_independent_of_companions(self):
+        rng = np.random.default_rng(37)
+        xs = np.linspace(-2.5, 8.0, 97)
+        for entries in twelve_frequency_vectors():
+            ev = build_evaluator(entries)
+            table = derivative_table(ev, xs, 5)
+            perm = rng.permutation(len(xs))
+            shuffled = derivative_table(ev, np.concatenate([xs[perm], [0.0, 7.5]]), 5)
+            for i, x in enumerate(xs):
+                alone = derivative_table(ev, [x], 5)[0]
+                assert np.all(np.abs(table[i] - alone) <= 1e-15 * np.abs(alone))
+            assert np.all(np.abs(shuffled[:len(xs)] - table[perm]) <= 1e-15 * np.abs(table[perm]))
+
+    def test_single_point_calls_are_one_row(self):
+        ev = build_evaluator([0.5, 1j, -1j])
+        row = derivative_table(ev, [1.3], 4)[0]
+        for m in range(5):
+            assert eval_derivative(ev, m, 1.3) == row[m]
+
+    def test_evaluators_compare_by_frequencies(self):
+        ev = build_evaluator([-1, -2])
+        assert ev == build_evaluator([-1.0, -2.0]) and hash(ev) == hash(build_evaluator([-1, -2]))
+        assert ev != build_evaluator([-1, -3])
+
+    def test_empty_and_negative_order(self):
+        ev = build_evaluator([-1, -2])
+        assert derivative_table(ev, [], 3).shape == (0, 4)
+        with pytest.raises(ValueError):
+            derivative_table(ev, [1.0], -1)
+
+    def test_guard_applies_to_whole_grid(self):
+        ev = build_evaluator([40.0, -40.0])
+        with pytest.raises(ValueError, match="2\\*\\*60 guard"):
+            derivative_table(ev, [0.5, 1.0, 1e18], 0)
+
+    def test_non_conjugate_closed_rejected(self):
+        with pytest.raises(ValueError, match="conjugate-closed"):
+            derivative_table(build_evaluator([1j, 0]), [1.0], 0)
+
+    def test_residue_check_on_batched_path(self, monkeypatch):
+        ev = build_evaluator([-0.5 + 1.3j, -0.5 - 1.3j, 0.2])
+        xs = np.linspace(0.3, 5.0, 50)
+        derivative_table(ev, xs, 2)
+        monkeypatch.setattr(fundamental, "REAL_PROJECTION_TOL", 0.0)
+        with pytest.raises(ArithmeticError, match="material imaginary part"):
+            derivative_table(ev, xs, 2)
+
+    def test_non_finite_abscissae_rejected(self):
+        ev = build_evaluator([-1, -2])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                derivative_table(ev, [0.5, bad], 0)
+            with pytest.raises(ValueError, match="finite"):
+                eval_derivative(ev, 0, bad)
+            with pytest.raises(ValueError, match="finite"):
+                eval_derivative_complex(build_evaluator([1j, 0]), 0, bad)
