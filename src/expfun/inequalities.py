@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .frequencies import as_frequency_vector, is_symmetric
 from .fundamental import (
@@ -28,6 +27,7 @@ from .fundamental import (
     derivative_table,
     eval_derivative,
 )
+from .quadrature import gauss_legendre
 
 __all__ = [
     "PolynomialCoeffs",
@@ -153,6 +153,11 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     return SignReport("violated", witness, boundary, grid, sign)
 
 
+#: Gauss-Legendre orders of the convolution integral in ``identity_residual``.
+_IDENTITY_START_ORDER = 16
+_IDENTITY_MAX_ORDER = 4096
+
+
 def identity_residual(ev: FundamentalEvaluator, poly, x: float,
                       quad_tol: float = 1e-11) -> float:
     """Defect of the convolution identity linking basis sums to an integral.
@@ -160,8 +165,10 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float,
     For R of degree at most n, the weighted basis sum
     sum_k a_k k! Phi^(n-k)(x) equals R(x) plus the convolution
     integral of R against Phi^(n+1) over [0, x]; the returned value is the
-    absolute difference of the two sides, the integral being computed by
-    adaptive Gauss-Kronrod quadrature.  Negative x integrates with the
+    absolute difference of the two sides.  The integral is computed by
+    Gauss-Legendre rules whose order doubles from 16 until two successive
+    results agree to ``quad_tol * (1 + |integral|)``; RuntimeError is raised
+    when they still differ at 4096 nodes.  Negative x integrates with the
     orientation convention int_0^x = -int_x^0.
     """
     poly = as_polynomial(poly)
@@ -176,13 +183,10 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float,
     if x == 0.0:
         integral = 0.0
     else:
-        result = quad(
-            lambda t: poly(t) * eval_derivative(ev, n + 1, x - t),
-            0.0, x, epsabs=quad_tol, epsrel=1e-12, limit=200, full_output=True,
-        )
-        integral, abserr = result[0], result[1]
-        if len(result) > 3 and abserr > 1e-6 * (1.0 + abs(integral)):
-            raise RuntimeError(f"quadrature did not converge: {result[3]}")
+        integral = float(gauss_legendre(
+            lambda ts, ws: ws @ (poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1]),
+            0.0, x, _IDENTITY_START_ORDER, _IDENTITY_MAX_ORDER, quad_tol,
+        ))
     return abs(lhs - poly(x) - integral)
 
 
@@ -242,18 +246,28 @@ def hankel_matrix(ev: FundamentalEvaluator, k: int, x: float) -> HankelMatrix:
     return HankelMatrix(entries=h, x=float(x), k=k)
 
 
+def cholesky_factor(h, tol: float = 0.0) -> Optional[np.ndarray]:
+    """Lower unpivoted Cholesky factor of a symmetric matrix, or None.
+
+    Returns None as soon as a pivot (the diagonal entry before its square
+    root) is not above tol.
+    """
+    a = np.asarray(getattr(h, "entries", h), dtype=float)
+    dim = a.shape[0]
+    low = np.zeros((dim, dim))
+    for j in range(dim):
+        pivot = a[j, j] - low[j, :j] @ low[j, :j]
+        if not pivot > tol:
+            return None
+        low[j, j] = math.sqrt(pivot)
+        for i in range(j + 1, dim):
+            low[i, j] = (a[i, j] - low[i, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
 def is_positive_definite(h, tol: float = 0.0) -> bool:
     """True iff an unpivoted Cholesky factorization has every pivot above tol."""
-    a = np.array(getattr(h, "entries", h), dtype=float)
-    dim = a.shape[0]
-    for j in range(dim):
-        pivot = a[j, j] - a[j, :j] @ a[j, :j]
-        if not pivot > tol:
-            return False
-        a[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, dim):
-            a[i, j] = (a[i, j] - a[i, :j] @ a[j, :j]) / a[j, j]
-    return True
+    return cholesky_factor(h, tol) is not None
 
 
 def polynomial_nonnegative_on(poly, lo: float, hi: float, tol: float = 1e-12) -> bool:

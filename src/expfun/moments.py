@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_triangular
 
 from .fundamental import FundamentalEvaluator, derivative_table
-from .inequalities import as_polynomial, verify_sign
+from .inequalities import as_polynomial, cholesky_factor, verify_sign
+from .quadrature import gauss_legendre
 
 __all__ = [
     "Measure",
@@ -110,6 +110,9 @@ def _basis_sum(ev: FundamentalEvaluator, ts: np.ndarray, weights: np.ndarray) ->
 #: Starting Gauss-Legendre order for density transforms.
 _GL_START_ORDER = 64
 
+#: Largest Gauss-Legendre order tried for density transforms.
+_GL_MAX_ORDER = 8192
+
 #: Successive quadrature refinements must agree to this tolerance.
 _GL_STABILITY_TOL = 1e-11
 
@@ -152,24 +155,15 @@ def _density_transform(ev: FundamentalEvaluator, mu: Measure) -> np.ndarray:
     a, b = mu.support
     if b == a:
         return np.zeros(ev.n + 1)
-    order = _GL_START_ORDER
-    previous = None
-    while order <= 8192:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        ws = 0.5 * (b - a) * weights
+
+    def rule_sum(xs, ws):
         dens = np.array([mu.density(x) for x in xs])
         if np.any(dens < -1e-12 * (1.0 + np.abs(dens).max())):
             raise ValueError("density is negative at a quadrature node")
         keep = dens != 0.0
-        s = _basis_sum(ev, xs[keep] - a, ws[keep] * dens[keep])
-        if previous is not None:
-            scale = 1.0 + np.abs(s).max()
-            if np.abs(s - previous).max() <= _GL_STABILITY_TOL * scale:
-                return s
-        previous = s
-        order *= 2
-    raise RuntimeError("density quadrature did not stabilize by order 8192")
+        return _basis_sum(ev, xs[keep] - a, ws[keep] * dens[keep])
+
+    return gauss_legendre(rule_sum, a, b, _GL_START_ORDER, _GL_MAX_ORDER, _GL_STABILITY_TOL)
 
 
 def riesz_functional(s: MomentSequence, poly) -> float:
@@ -237,20 +231,6 @@ def hausdorff_check(s: MomentSequence, tol: Optional[float] = None) -> Hausdorff
     return HausdorffReport(passed=passed, conditions=tuple(checks))
 
 
-def _cholesky_pivots(h: np.ndarray, tol: float):
-    """Upper-triangular Cholesky factor, or None if a pivot falls below tol."""
-    dim = h.shape[0]
-    r = np.zeros((dim, dim))
-    for j in range(dim):
-        pivot = h[j, j] - r[:j, j] @ r[:j, j]
-        if not pivot > tol:
-            return None
-        r[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, dim):
-            r[j, i] = (h[j, i] - r[:j, j] @ r[:j, i]) / r[j, j]
-    return r
-
-
 def _gauss_from_moments(seq: np.ndarray, tol: float):
     """Nodes and weights of a Gauss-type rule matching moments seq[0..2K-1].
 
@@ -264,21 +244,22 @@ def _gauss_from_moments(seq: np.ndarray, tol: float):
         return np.array([]), np.array([])
     for K in range(kmax, 0, -1):
         h = _hankel_block(seq, 0, K)
-        r = _cholesky_pivots(h, tol * max(1.0, float(np.abs(np.diagonal(h)).max())))
-        if r is None:
+        low = cholesky_factor(h, tol * max(1.0, float(np.abs(np.diagonal(h)).max())))
+        if low is None:
             continue
         if K == 1:
             return np.array([seq[1] / seq[0]]), np.array([float(seq[0])])
-        ext = solve_triangular(r.T, seq[K:2 * K], lower=True)
+        ext = np.linalg.solve(low, seq[K:2 * K])
         diag = np.zeros(K)
         off = np.zeros(K - 1)
         for j in range(K):
-            right = ext[j] if j == K - 1 else r[j, j + 1]
-            left = 0.0 if j == 0 else r[j - 1, j] / r[j - 1, j - 1]
-            diag[j] = right / r[j, j] - left
+            right = ext[j] if j == K - 1 else low[j + 1, j]
+            left = 0.0 if j == 0 else low[j, j - 1] / low[j - 1, j - 1]
+            diag[j] = right / low[j, j] - left
             if j >= 1:
-                off[j - 1] = r[j, j] / r[j - 1, j - 1]
-        eigvals, eigvecs = eigh_tridiagonal(diag, off)
+                off[j - 1] = low[j, j] / low[j - 1, j - 1]
+        jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        eigvals, eigvecs = np.linalg.eigh(jacobi)
         weights = seq[0] * eigvecs[0, :] ** 2
         return eigvals, weights
     return np.array([]), np.array([])

@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import expfun
 from expfun.cli import main
 
 
@@ -372,3 +377,16 @@ class TestHarness:
         code, out, _ = run(capsys, ["certify", "--config", cfg])
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["command"] == "certify"
+
+
+class TestImportGraph:
+    def test_cli_import_loads_no_scipy(self):
+        # A fresh interpreter, with the package directory first on PYTHONPATH.
+        src = str(Path(expfun.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        probe = ("import sys, expfun.cli; "
+                 "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -15,6 +15,7 @@ from expfun import (
     riesz_functional,
     transform,
 )
+from expfun.moments import _gauss_from_moments
 
 
 def random_symmetric(rng, count, scale=1.2):
@@ -212,6 +213,32 @@ class TestRecoverMeasure:
         nu = recover_measure(s)
         got = sorted(nu.atoms)
         assert np.allclose(got, sorted(atoms), atol=1e-10)
+
+    def test_uniform_moments_give_shifted_legendre_rule(self):
+        # Even length: the K-point Gauss rule of dt on [0, 1] is leggauss shifted.
+        K = 4
+        gx, gw = np.polynomial.legendre.leggauss(K)
+        values = np.array([1.0 / (k + 1) for k in range(2 * K)])
+        nodes, weights = _gauss_from_moments(values, 1e-12)
+        order = np.argsort(nodes)
+        np.testing.assert_allclose(nodes[order], (gx + 1) / 2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights[order], gw / 2, rtol=0, atol=1e-12)
+        nu = recover_measure(MomentSequence(tuple(values), support_length=1.0, origin=0.0))
+        np.testing.assert_allclose(sorted(nu.atoms), np.column_stack(((gx + 1) / 2, gw / 2)),
+                                   rtol=0, atol=1e-12)
+
+    def test_odd_length_endpoint_atom_over_legendre_rule(self):
+        # Odd length: s_k = 1/k for k >= 1 shifts to the uniform moments, so the
+        # interior atoms are the shifted leggauss nodes carrying weights w/t,
+        # and s_0 minus their mass sits at the left endpoint.
+        K = 4
+        gx, gw = np.polynomial.legendre.leggauss(K)
+        ts, ws = (gx + 1) / 2, gw / 2 / ((gx + 1) / 2)
+        values = (10.0,) + tuple(1.0 / k for k in range(1, 2 * K + 1))
+        nu = recover_measure(MomentSequence(values, support_length=1.0, origin=0.0))
+        expected = np.column_stack((np.concatenate(([0.0], ts)),
+                                    np.concatenate(([10.0 - ws.sum()], ws))))
+        np.testing.assert_allclose(sorted(nu.atoms), expected, rtol=0, atol=1e-12)
 
     def test_shifted_origin(self):
         atoms = [(2.3, 0.5), (3.1, 1.5)]
