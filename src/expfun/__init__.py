@@ -19,6 +19,7 @@ from .fundamental import (
     FundamentalEvaluator,
     basis,
     build_evaluator,
+    derivative_grid,
     derivative_table,
     eval_derivative,
     eval_derivative_complex,
@@ -62,6 +63,7 @@ __all__ = [
     "check_necessary",
     "FundamentalEvaluator",
     "build_evaluator",
+    "derivative_grid",
     "derivative_table",
     "eval_derivative",
     "eval_derivative_complex",

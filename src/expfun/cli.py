@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .frequencies import FrequencyVector, check_necessary
-from .fundamental import build_evaluator, derivative_table
+from .fundamental import build_evaluator, derivative_grid
 from .inequalities import (
     CertificateKind,
     DEFAULT_GRID,
@@ -88,6 +88,8 @@ def _interval(config, lo_lt_hi=False):
             or not all(isinstance(v, (int, float)) for v in iv)):
         raise ConfigError("'interval' must be [lo, hi]")
     lo, hi = float(iv[0]), float(iv[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"interval bounds must be finite, got [{lo}, {hi}]")
     if lo > hi or (lo_lt_hi and not lo < hi):
         raise ConfigError(f"bad interval [{lo}, {hi}]")
     return lo, hi
@@ -180,7 +182,7 @@ def _cmd_eval(config):
     samples = _positive_int(config, "samples", 65)
     ev = build_evaluator(freq)
     xs = np.linspace(lo, hi, samples)
-    values = derivative_table(ev, xs, m)[:, m]
+    values = derivative_grid(ev, lo, hi, samples, m)[:, m]
     rows = [[float(x), float(v)] for x, v in zip(xs, values)]
     payload = {
         "command": "eval",

@@ -8,12 +8,19 @@ Z**m @ expm(x*Z), where Z is the upper bidiagonal matrix carrying the
 frequencies on the diagonal and ones above it.  This representation needs no
 case analysis for repeated (confluent) frequencies.
 
-``derivative_table`` is the one evaluation path: it tabulates the orders
-0..m over a whole grid of abscissae.  ``eval_derivative`` and ``basis`` read
-one row of it, and ``eval_derivative_complex`` runs the same kernel without
-the real projection.  Points are grouped by scaling depth and processed in
-bounded chunks with a stacked Pade(13) scaling-and-squaring kernel, in real
-arithmetic when every frequency is real.
+Two entry points tabulate the orders 0..m, both on one stacked Pade(13)
+scaling-and-squaring kernel that groups abscissae by scaling depth, works in
+bounded chunks and runs in real arithmetic when every frequency is real:
+
+* ``derivative_table`` takes any abscissae and spends one exponential per
+  point.  Bisection, quadrature nodes and the single-point functions use
+  it: ``eval_derivative`` and ``basis`` read one row of it, and
+  ``eval_derivative_complex`` runs the same kernel without the real
+  projection.
+* ``derivative_grid`` takes a uniform grid ``linspace(lo, hi, count)`` and
+  writes every point as the product of two exponentials, an anchor and an
+  offset, so about 2 sqrt(count) exponentials serve the whole grid.  Sign
+  scans (``verify_sign``) and the CLI ``eval`` table use it.
 
 Two independent evaluation routes, a partial-fraction sum (distinct
 frequencies only) and a truncated power series, are provided for
@@ -32,6 +39,7 @@ from .frequencies import FrequencyVector, as_frequency_vector, is_conjugate_clos
 __all__ = [
     "FundamentalEvaluator",
     "build_evaluator",
+    "derivative_grid",
     "derivative_table",
     "eval_derivative",
     "eval_derivative_complex",
@@ -120,15 +128,14 @@ def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     return depth.astype(int)
 
 
-def _chunks(ev: FundamentalEvaluator, xs: np.ndarray, max_order: int):
-    """Yield (rows, values) with derivatives 0..max_order at xs[rows].
+def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray):
+    """Yield (rows, mats) with mats[i] = expm(xs[rows[i]] * Z).
 
     Abscissae are ordered by scaling depth and walked in chunks of about
     ``_CHUNK_ENTRIES`` matrix entries.  In a chunk the Pade(13) kernel runs
     as stacked matrix products and one stacked solve, and each squaring acts
-    on the part of the chunk that still needs it.  The j-th derivative is the
-    first component of Z**j applied to the last column of expm(x*Z).  Values
-    are complex unless every frequency is real.
+    on the part of the chunk that still needs it.  Matrices are complex
+    unless every frequency is real.
     """
     diag = ev.diagonal
     count = len(diag)
@@ -156,16 +163,44 @@ def _chunks(ev: FundamentalEvaluator, xs: np.ndarray, max_order: int):
         for level in range(depth[-1]):
             tail = r[np.searchsorted(depth, level, side="right"):]
             tail[...] = tail @ tail
-        # Bidiagonal recurrence: (Z c)[i] = l_i c[i] + c[i+1].
-        col = r[:, :, -1]
-        values = np.empty((len(rows), max_order + 1), dtype=diag.dtype)
-        values[:, 0] = col[:, 0]
-        for j in range(1, max_order + 1):
-            nxt = diag * col
-            nxt[:, :-1] += col[:, 1:]
-            col = nxt
-            values[:, j] = col[:, 0]
-        yield rows, values
+        yield rows, r
+
+
+def _orders(diag: np.ndarray, col: np.ndarray, max_order: int) -> np.ndarray:
+    """Derivatives 0..max_order from last columns of expm(x*Z), one row per column.
+
+    The j-th derivative is the first component of Z**j applied to the last
+    column, by the bidiagonal recurrence (Z c)[i] = l_i c[i] + c[i+1].
+    """
+    values = np.empty((len(col), max_order + 1), dtype=col.dtype)
+    values[:, 0] = col[:, 0]
+    for j in range(1, max_order + 1):
+        nxt = diag * col
+        nxt[:, :-1] += col[:, 1:]
+        col = nxt
+        values[:, j] = col[:, 0]
+    return values
+
+
+def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
+    if not ev.realify:
+        raise ValueError(
+            "frequency vector is not conjugate-closed; use eval_derivative_complex"
+        )
+
+
+def _project(values: np.ndarray) -> np.ndarray:
+    """Real part of values after checking every imaginary residue."""
+    if not np.iscomplexobj(values):
+        return values
+    bad = np.abs(values.imag) > REAL_PROJECTION_TOL * (1.0 + np.abs(values))
+    if bad.any():
+        raise ArithmeticError(
+            f"value {complex(values[bad][0])!r} has a material imaginary part although "
+            "the frequency vector is conjugate-closed; evaluation is numerically "
+            "unreliable here"
+        )
+    return values.real
 
 
 def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray:
@@ -177,30 +212,89 @@ def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray
     frequency vector and finite abscissae; each value's imaginary residue is
     checked against ``REAL_PROJECTION_TOL`` before projecting.
     """
-    if not ev.realify:
-        raise ValueError(
-            "frequency vector is not conjugate-closed; use eval_derivative_complex"
-        )
+    _require_conjugate_closed(ev)
     xs = _checked_abscissae(xs, max_order)
     out = np.empty((len(xs), max_order + 1))
-    for rows, values in _chunks(ev, xs, max_order):
-        if np.iscomplexobj(values):
-            bad = np.abs(values.imag) > REAL_PROJECTION_TOL * (1.0 + np.abs(values))
-            if bad.any():
-                raise ArithmeticError(
-                    f"value {complex(values[bad][0])!r} has a material imaginary part although "
-                    "the frequency vector is conjugate-closed; evaluation is numerically "
-                    "unreliable here"
-                )
-            values = values.real
-        out[rows] = values
+    for rows, mats in _exponentials(ev, xs):
+        out[rows] = _project(_orders(ev.diagonal, mats[:, :, -1], max_order))
+    return out
+
+
+def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
+                    max_order: int) -> np.ndarray:
+    """Derivatives 0..max_order on the uniform grid ``np.linspace(lo, hi, count)``.
+
+    Returns, up to rounding, what ``derivative_table(ev, np.linspace(lo, hi,
+    count), max_order)`` returns, from about 2 sqrt(count) matrix
+    exponentials instead of count.  A grid with lo == hi or count == 1 is one
+    abscissa, evaluated once and repeated.  Otherwise the grid is split at 0
+    and each side is cut, outward from 0, into blocks of ceil(sqrt(side
+    count)) points.  A point is its block's anchor (the block point nearest
+    0, a ``linspace`` abscissa) plus an offset k*h of that side's sign, with
+    h the grid step and 0 <= k < block size, so that
+    expm(x*Z) = expm(k*h*Z) @ expm(anchor*Z).  Only the anchors and the
+    offsets go through the Pade kernel; each row is one product of two
+    factors, never a longer chain, so nothing drifts along the grid.  Working
+    memory is a few arrays of count x (n+1) entries, never count matrices.
+
+    Error structure: neither factor has a larger |abscissa|, hence no more
+    squarings, than its point.  For real frequencies expm(t*Z) has entries of
+    the sign of t**(j-i), and the two factors share the sign of t, so the
+    product sums terms of one sign and keeps the relative accuracy of a
+    single exponential, also at the n-fold zero at the origin.  Conjugate
+    pairs carry no such sign structure; their rows match ``derivative_table``
+    to rounding relative to the size of the factors.  Row i is computed at
+    anchor + k*h, which agrees with ``linspace``'s abscissa to a few ulps of
+    max(|lo|, |hi|); it is exact at the anchors.
+
+    Raises ValueError for non-finite bounds, lo > hi, count < 1, a negative
+    order, a vector that is not conjugate-closed, and abscissae beyond the
+    squaring guard; ArithmeticError for a material imaginary residue.
+    """
+    _require_conjugate_closed(ev)
+    if max_order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got [{lo!r}, {hi!r}]")
+    if lo > hi:
+        raise ValueError(f"need lo <= hi, got [{lo!r}, {hi!r}]")
+    if count < 1:
+        raise ValueError(f"need at least one grid point, got count={count!r}")
+    xs = np.linspace(lo, hi, count)
+    if lo == hi or count == 1:
+        # One abscissa, possibly repeated: a zero offset would only add rounding.
+        return np.repeat(derivative_table(ev, xs[:1], max_order), count, axis=0)
+    _squarings(ev, xs)  # the 2**60 guard, on every abscissa and not only on the factors
+    step = (hi - lo) / (count - 1)
+    split = int(np.searchsorted(xs, 0.0))
+    # Each side: grid indices outward from 0, signed step, block size; no block crosses 0.
+    sides = [(side, h, math.isqrt(len(side) - 1) + 1)
+             for side, h in ((np.arange(split - 1, -1, -1), -step), (np.arange(split, count), step))
+             if len(side)]
+    ts = np.concatenate([np.concatenate([xs[side[::size]], h * np.arange(1, size)])
+                         for side, h, size in sides])
+    dim = len(ev.diagonal)
+    mats = np.empty((len(ts), dim, dim), dtype=ev.diagonal.dtype)
+    for rows, r in _exponentials(ev, ts):
+        mats[rows] = r
+    out = np.empty((count, max_order + 1))
+    for side, _, size in sides:
+        anchors = -(-len(side) // size)
+        anchor_cols = mats[:anchors, :, -1]
+        offsets = mats[anchors:anchors + size - 1]
+        mats = mats[anchors + size - 1:]
+        # Point b*size + k of the side: expm(k*h*Z) @ expm(anchor_b*Z)[:, -1], the anchor at k = 0.
+        cols = np.empty((anchors, size, dim), dtype=mats.dtype)
+        cols[:, 0] = anchor_cols
+        np.matmul(offsets, anchor_cols.T, out=cols[:, 1:].transpose(1, 2, 0))
+        out[side] = _project(_orders(ev.diagonal, cols.reshape(-1, dim)[:len(side)], max_order))
     return out
 
 
 def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> complex:
     """m-th derivative of the fundamental solution at x, complex output."""
-    _, values = next(_chunks(ev, _checked_abscissae([x], m), m))
-    return complex(values[0, m])
+    _, mats = next(_exponentials(ev, _checked_abscissae([x], m)))
+    return complex(_orders(ev.diagonal, mats[:, :, -1], m)[0, m])
 
 
 def eval_derivative(ev: FundamentalEvaluator, m: int, x: float) -> float:

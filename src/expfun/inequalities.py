@@ -24,6 +24,7 @@ from .fundamental import (
     FundamentalEvaluator,
     basis,
     build_evaluator,
+    derivative_grid,
     derivative_table,
     eval_derivative,
 )
@@ -118,10 +119,11 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
                 sign: int = 1) -> SignReport:
     """Sampling certificate that sign * Phi^(m) >= -tol on [lo, hi].
 
-    Samples a uniform grid; on a violation the report carries the first
-    offending abscissa and the nearest sign change refined by bisection to
-    ``BISECTION_XTOL``.  With ``sign=-1`` the check certifies nonpositivity.
-    A "nonnegative" status is a grid certificate, not a proof.
+    Samples a uniform grid through ``derivative_grid``; on a violation the
+    report carries the first offending abscissa and the nearest sign change
+    refined by bisection to ``BISECTION_XTOL``.  With ``sign=-1`` the check
+    certifies nonpositivity.  A "nonnegative" status is a grid certificate,
+    not a proof.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -131,7 +133,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         raise ValueError("sign must be +1 or -1")
 
     xs = np.linspace(lo, hi, grid)
-    vals = sign * derivative_table(ev, xs, m)[:, m]
+    vals = sign * derivative_grid(ev, lo, hi, grid, m)[:, m]
     bad = np.flatnonzero(vals < -tol)
     if bad.size == 0:
         return SignReport("nonnegative", None, None, grid, sign)

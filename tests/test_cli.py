@@ -313,7 +313,17 @@ class TestHarness:
             "frequencies": [-1, -2], "interval": [math.nan, 1.0], "samples": 3,
         })
         code, _, err = run(capsys, ["eval", "--config", cfg])
-        assert code == 3 and "finite" in err
+        assert code == 2 and "finite" in err
+
+    @pytest.mark.parametrize("command, config", [
+        ("eval", {"frequencies": [-1, -2], "interval": [0.0, math.inf], "samples": 3}),
+        ("verify", {"frequencies": [-1, -2], "m": 2, "interval": [-math.inf, 3.0], "grid": 64}),
+        ("hankel", {"frequencies": [-1, -2], "k": 1, "interval": [0.0, math.nan]}),
+        ("turan", {"frequencies": [-1, -2, -3], "interval": [-math.inf, math.inf]}),
+    ], ids=["eval", "verify", "hankel", "turan"])
+    def test_non_finite_interval_is_config_error(self, tmp_path, capsys, command, config):
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, config)])
+        assert code == 2 and out == "" and "config error" in err and "finite" in err
 
     def test_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -9,6 +9,7 @@ import expfun.fundamental as fundamental
 from expfun import (
     basis,
     build_evaluator,
+    derivative_grid,
     derivative_table,
     eval_derivative,
     eval_derivative_complex,
@@ -309,3 +310,59 @@ class TestDerivativeTable:
                 eval_derivative(ev, 0, bad)
             with pytest.raises(ValueError, match="finite"):
                 eval_derivative_complex(build_evaluator([1j, 0]), 0, bad)
+
+
+class TestDerivativeGrid:
+    def test_matches_table_on_linspace(self):
+        vectors = ([-1.0, -2.0, 0.5, 1.5], [0.5, 1 + 2j, 1 - 2j, -0.3],
+                   twelve_frequency_vectors()[1], [-1, -1, -1], [0, 0, 0])
+        # All positive, all negative, straddling 0, and hitting 0 exactly at an
+        # end or (for odd counts) inside; then lo == hi on either side of 0 and at 0.
+        grids = [(0.5, 7.0), (-7.0, -0.5), (-2.5, 8.0), (0.0, 4.0), (-4.0, 0.0), (-3.0, 3.0),
+                 (2.0, 2.0), (-1.5, -1.5), (0.0, 0.0)]
+        for entries in vectors:
+            ev = build_evaluator(entries)
+            max_order = len(entries)
+            for lo, hi in grids:
+                for count in (1, 2, 3, 64, 65, 4096):
+                    grid = derivative_grid(ev, lo, hi, count, max_order)
+                    table = derivative_table(ev, np.linspace(lo, hi, count), max_order)
+                    assert grid.shape == table.shape and grid.dtype == np.float64
+                    scale = np.abs(table).max(axis=0)
+                    assert np.all(np.abs(grid - table) <= 1e-12 * scale), (entries, lo, hi, count)
+
+    def test_no_cancellation_at_the_origin(self):
+        # Anchors on the far side of 0 would sum terms of both signs at the
+        # 11-fold zero of Phi; with the grid split at 0 every product is one-signed.
+        entries = [1.2, -1, 2.3, -2, 3.1, -3, 4.2, -4, 5.1, -5, 6.3, -6]
+        xs = np.linspace(-0.16, 0.63, 4096)
+        grid = derivative_grid(build_evaluator(entries), -0.16, 0.63, 4096, 10)
+        for i in np.argsort(np.abs(xs))[:16]:
+            for m in range(11):
+                ref = eval_via_taylor(entries, m, float(xs[i])).real
+                assert abs(grid[i, m] - ref) <= 1e-10 * abs(ref), (xs[i], m)
+
+    def test_input_contract(self, monkeypatch):
+        ev = build_evaluator([-1, -2])
+        for lo, hi in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                derivative_grid(ev, lo, hi, 8, 0)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            derivative_grid(ev, 1.0, 0.0, 8, 0)
+        with pytest.raises(ValueError, match="at least one grid point"):
+            derivative_grid(ev, 0.0, 1.0, 0, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            derivative_grid(ev, 0.0, 1.0, 8, -1)
+        with pytest.raises(ValueError, match="not conjugate-closed; use eval_derivative_complex"):
+            derivative_grid(build_evaluator([1j, 0]), 0.0, 1.0, 8, 0)
+        # The endpoints +-2e17 lie past the guard but are offset points: their
+        # anchors +-1.5e17 and the offsets up to 1e17 stay within 2**60.
+        wide = build_evaluator([40.0, -40.0])
+        for lo, hi in ((0.0, 2e17), (-2e17, 0.0)):
+            with pytest.raises(ValueError, match="2\\*\\*60 guard"):
+                derivative_grid(wide, lo, hi, 5, 0)
+        pair = build_evaluator([-0.5 + 1.3j, -0.5 - 1.3j, 0.2])
+        derivative_grid(pair, 0.3, 5.0, 50, 2)
+        monkeypatch.setattr(fundamental, "REAL_PROJECTION_TOL", 0.0)
+        with pytest.raises(ArithmeticError, match="material imaginary part"):
+            derivative_grid(pair, 0.3, 5.0, 50, 2)
