@@ -6,6 +6,12 @@ a CSV table (default) or a JSON report to stdout or ``--out``.  Floats are
 printed in their shortest round-trip form, so identical configurations give
 byte-identical output.
 
+Each command is a ``_cmd_*`` function whose parameters are its config keys:
+a parameter without a default is a required key, one with a default an
+optional key.  ``_KEYS`` maps every key to the parser that checks its JSON
+value, and ``_arguments`` checks a configuration against a command and calls
+it.  The ``output`` object is read by ``main`` for every command.
+
 Exit codes: 0 success (negative findings included), 1 a check failed under
 ``--assert``, 2 configuration error, 3 numerical failure.
 """
@@ -14,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import math
@@ -51,91 +59,71 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):  # certificate pairs [[i, j], ...] as "i-j;..."
+        return ";".join(f"{i}-{j}" for i, j in value)
     return str(value)
 
 
-def _parse_frequencies(raw) -> FrequencyVector:
+def _number(raw):
+    """A finite JSON number, not a bool, kept as written (reports echo ``tol``)."""
+    if type(raw) not in (int, float) or not abs(raw) <= sys.float_info.max:
+        raise ConfigError(f"{raw!r} is not a finite number")
+    return raw
+
+
+def _integer(least: int):
+    def parse(raw) -> int:
+        if type(raw) is not int or raw < least:
+            raise ConfigError(f"must be an integer >= {least}")
+        return raw
+    return parse
+
+
+def _tolerance(raw):
+    if _number(raw) < 0:
+        raise ConfigError(f"must be nonnegative, got {raw!r}")
+    return raw
+
+
+def _sign(raw) -> int:
+    if type(raw) is not int or raw not in (1, -1):
+        raise ConfigError("must be 1 or -1")
+    return raw
+
+
+def _frequencies(raw) -> FrequencyVector:
     if not isinstance(raw, list) or not raw:
-        raise ConfigError("'frequencies' must be a nonempty list")
-    entries = []
-    for item in raw:
-        if isinstance(item, (int, float)):
-            entries.append(complex(item))
-        elif (isinstance(item, list) and len(item) == 2
-              and all(isinstance(c, (int, float)) for c in item)):
-            entries.append(complex(item[0], item[1]))
-        else:
-            raise ConfigError(f"frequency entry {item!r} is neither a real nor a [re, im] pair")
+        raise ConfigError("must be a nonempty list of reals and [re, im] pairs")
+    entries = [complex(*map(_number, v)) if isinstance(v, list) and len(v) == 2
+               else complex(_number(v)) for v in raw]
     try:
         return FrequencyVector(tuple(entries))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _require_keys(config: dict, required: set, optional: set) -> None:
-    keys = set(config)
-    missing = required - keys
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-
-def _interval(config, lo_lt_hi=False):
-    iv = config["interval"]
-    if (not isinstance(iv, list) or len(iv) != 2
-            or not all(isinstance(v, (int, float)) for v in iv)):
-        raise ConfigError("'interval' must be [lo, hi]")
-    lo, hi = float(iv[0]), float(iv[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"interval bounds must be finite, got [{lo}, {hi}]")
-    if lo > hi or (lo_lt_hi and not lo < hi):
+def _interval(raw) -> tuple:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ConfigError("must be [lo, hi]")
+    lo, hi = (float(_number(v)) for v in raw)
+    if lo > hi:
         raise ConfigError(f"bad interval [{lo}, {hi}]")
     return lo, hi
 
 
-def _positive_int(config, key, default):
-    value = config.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"'{key}' must be a positive integer")
-    return value
-
-
-def _default_grid() -> int:
-    raw = os.environ.get("EXPFUN_GRID")
-    if raw is None:
-        return DEFAULT_GRID
+def _measure(raw) -> Measure:
+    if not isinstance(raw, dict) or raw.get("kind") not in ("atoms", "density"):
+        raise ConfigError("must be an object whose 'kind' is 'atoms' or 'density'")
+    field = "atoms" if raw["kind"] == "atoms" else "expr"
+    if set(raw) != {"kind", "support", field}:
+        raise ConfigError(f"{raw['kind']} measure needs exactly kind/support/{field}")
     try:
-        grid = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"EXPFUN_GRID={raw!r} is not an integer") from exc
-    if grid < 64:
-        raise ConfigError("EXPFUN_GRID must be at least 64")
-    return grid
-
-
-def _parse_measure(raw) -> Measure:
-    if not isinstance(raw, dict):
-        raise ConfigError("'measure' must be an object")
-    keys = set(raw)
-    if raw.get("kind") == "atoms":
-        if keys != {"kind", "support", "atoms"}:
-            raise ConfigError("atomic measure needs exactly kind/support/atoms")
-        try:
-            return Measure.from_atoms([(x, w) for x, w in raw["atoms"]], tuple(raw["support"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad atomic measure: {exc}") from exc
-    if raw.get("kind") == "density":
-        if keys != {"kind", "support", "expr"}:
-            raise ConfigError("density measure needs exactly kind/support/expr")
-        try:
-            support = tuple(raw["support"])
-            density = _builtin_density(raw["expr"], float(support[0]))
-            return Measure.from_density(density, support)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"bad density measure: {exc}") from exc
-    raise ConfigError("measure 'kind' must be 'atoms' or 'density'")
+        support = tuple(map(_number, raw["support"]))
+        if field == "atoms":
+            return Measure.from_atoms([(_number(x), _number(w)) for x, w in raw["atoms"]], support)
+        return Measure.from_density(_builtin_density(raw["expr"], float(support[0])), support)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad {raw['kind']} measure: {exc}") from exc
 
 
 def _builtin_density(expr, origin):
@@ -146,12 +134,10 @@ def _builtin_density(expr, origin):
     if name == "uniform":
         return lambda x: 1.0
     if name.startswith("truncexp(") and name.endswith(")"):
-        rate = float(name[len("truncexp("):-1])
+        rate = _number(float(name[len("truncexp("):-1]))
         return lambda x, r=rate, a=origin: math.exp(-r * (x - a))
     if name.startswith("poly(") and name.endswith(")"):
-        coeffs = [float(c) for c in name[len("poly("):-1].split(",")]
-        if not coeffs:
-            raise ConfigError("poly density needs coefficients")
+        coeffs = [_number(float(c)) for c in name[len("poly("):-1].split(",")]
 
         def density(x, cs=tuple(coeffs), a=origin):
             acc = 0.0
@@ -164,23 +150,56 @@ def _builtin_density(expr, origin):
                       "use uniform, truncexp(rate) or poly(c0,c1,...)")
 
 
+_KEYS = {
+    "frequencies": _frequencies,
+    "interval": _interval,
+    "m": _integer(0),
+    "k": _integer(0),
+    "samples": _integer(1),
+    "grid": _integer(64),
+    "tol": _tolerance,
+    "sign": _sign,
+    "measure": _measure,
+}
+
+
+def _arguments(command, config: dict):
+    """Check the config keys against the command's parameters, parse them, call it."""
+    params = inspect.signature(command).parameters
+    missing = {key for key, p in params.items() if p.default is p.empty} - set(config)
+    if missing:
+        raise ConfigError(f"missing config keys: {sorted(missing)}")
+    unknown = set(config) - set(params)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, raw in config.items():
+        try:
+            kwargs[key] = _KEYS[key](raw)
+        except ConfigError as exc:
+            raise ConfigError(f"'{key}': {exc}") from None
+    return command(**kwargs)
+
+
+def _default_grid() -> int:
+    raw = os.environ.get("EXPFUN_GRID")
+    if raw is None:
+        return DEFAULT_GRID
+    try:
+        return _KEYS["grid"](int(raw))
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"EXPFUN_GRID={raw!r} must be an integer >= 64") from exc
+
+
 # ---------------------------------------------------------------------------
-# Commands.  Each returns (payload, violated) where payload carries either
-# "columns"/"rows" (table) or report fields, and violated drives --assert.
+# Commands.  Parameters are config keys, already parsed.  Each returns
+# (payload, violated) where payload carries either "columns"/"rows" (table)
+# or report fields, and violated drives --assert.
 # ---------------------------------------------------------------------------
 
-_COMMON_OPTIONAL = {"output"}
-
-
-def _cmd_eval(config):
-    _require_keys(config, {"frequencies", "interval"}, {"m", "samples"} | _COMMON_OPTIONAL)
-    freq = _parse_frequencies(config["frequencies"])
-    m = config.get("m", 0)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ConfigError("'m' must be a nonnegative integer")
-    lo, hi = _interval(config)
-    samples = _positive_int(config, "samples", 65)
-    ev = build_evaluator(freq)
+def _cmd_eval(frequencies, interval, m=0, samples=65):
+    lo, hi = interval
+    ev = build_evaluator(frequencies)
     xs = np.linspace(lo, hi, samples)
     values = derivative_grid(ev, lo, hi, samples, m)[:, m]
     rows = [[float(x), float(v)] for x, v in zip(xs, values)]
@@ -193,25 +212,14 @@ def _cmd_eval(config):
     return payload, False
 
 
-def _cmd_verify(config):
-    _require_keys(config, {"frequencies", "m", "interval"},
-                  {"grid", "tol", "sign"} | _COMMON_OPTIONAL)
-    freq = _parse_frequencies(config["frequencies"])
-    m = config["m"]
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ConfigError("'m' must be a nonnegative integer")
-    lo, hi = _interval(config, lo_lt_hi=True)
-    grid = config.get("grid", _default_grid())
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 64:
-        raise ConfigError("'grid' must be an integer >= 64")
-    tol = config.get("tol", 1e-10)
-    if not isinstance(tol, (int, float)) or tol < 0:
-        raise ConfigError("'tol' must be a nonnegative number")
-    sign = config.get("sign", 1)
-    if sign not in (1, -1):
-        raise ConfigError("'sign' must be 1 or -1")
-    ev = build_evaluator(freq)
-    rep = verify_sign(ev, m, lo, hi, grid=grid, tol=float(tol), sign=sign)
+def _cmd_verify(frequencies, m, interval, grid=None, tol=1e-10, sign=1):
+    lo, hi = interval
+    if not lo < hi:
+        raise ConfigError(f"bad interval [{lo}, {hi}]")
+    if grid is None:
+        grid = _default_grid()
+    ev = build_evaluator(frequencies)
+    rep = verify_sign(ev, m, lo, hi, grid=grid, tol=tol, sign=sign)
     payload = {
         "command": "verify",
         "m": m,
@@ -225,39 +233,22 @@ def _cmd_verify(config):
     return payload, rep.status == "violated"
 
 
-def _cmd_hankel(config):
-    _require_keys(config, {"frequencies", "k", "interval"},
-                  {"samples", "tol"} | _COMMON_OPTIONAL)
-    freq = _parse_frequencies(config["frequencies"])
-    k = config["k"]
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ConfigError("'k' must be a nonnegative integer")
-    if 2 * k > freq.n + 1:
-        raise ConfigError(f"k={k} too large for {freq.n + 1} frequencies (need 2k <= n + 1)")
-    lo, hi = _interval(config)
-    samples = _positive_int(config, "samples", 129)
-    tol = config.get("tol", 0.0)
-    if not isinstance(tol, (int, float)):
-        raise ConfigError("'tol' must be a number")
-    ev = build_evaluator(freq)
+def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
+    if 2 * k > frequencies.n + 1:
+        raise ConfigError(f"k={k} too large for {frequencies.n + 1} frequencies (need 2k <= n + 1)")
+    lo, hi = interval
+    ev = build_evaluator(frequencies)
     xs = np.linspace(lo, hi, samples)
     rows = []
-    dets = []
     for x in xs:
         h = hankel_matrix(ev, k, float(x))
-        det = float(np.linalg.det(h.entries))
-        dets.append(det)
-        rows.append([float(x), det, is_positive_definite(h, float(tol))])
+        rows.append([float(x), float(np.linalg.det(h.entries)), is_positive_definite(h, tol)])
 
     # Bisection-refined abscissae where the determinant changes sign.
-    sign_changes = []
     det_negative = lambda x: float(np.linalg.det(hankel_matrix(ev, k, x).entries)) < 0.0
-    for i in range(1, len(xs)):
-        a, b = dets[i - 1], dets[i]
-        if (a < 0.0) != (b < 0.0):
-            sign_changes.append(
-                _bisect_predicate(det_negative, float(xs[i - 1]), float(xs[i]), a < 0.0)
-            )
+    sign_changes = [_bisect_predicate(det_negative, x0, x1, d0 < 0.0)
+                    for (x0, d0, _), (x1, d1, _) in zip(rows, rows[1:])
+                    if (d0 < 0.0) != (d1 < 0.0)]
     payload = {
         "command": "hankel",
         "k": k,
@@ -268,15 +259,12 @@ def _cmd_hankel(config):
     return payload, any(not row[2] for row in rows)
 
 
-def _cmd_turan(config):
-    _require_keys(config, {"frequencies", "interval"}, {"samples"} | _COMMON_OPTIONAL)
-    freq = _parse_frequencies(config["frequencies"])
-    if freq.n < 2:
+def _cmd_turan(frequencies, interval, samples=65):
+    if frequencies.n < 2:
         raise ConfigError("ratio bounds need at least three frequencies (n >= 2)")
-    lo, hi = _interval(config)
-    samples = _positive_int(config, "samples", 65)
-    ev = build_evaluator(freq)
-    upper = freq.n / (freq.n - 1)
+    lo, hi = interval
+    ev = build_evaluator(frequencies)
+    upper = frequencies.n / (frequencies.n - 1)
     xs = np.linspace(lo, hi, samples)
     rows = [[float(x), turan_ratio(ev, float(x)), 1.0, upper] for x in xs]
     violated = any(
@@ -290,17 +278,11 @@ def _cmd_turan(config):
     return payload, violated
 
 
-def _cmd_moments(config):
-    _require_keys(config, {"frequencies", "measure"}, {"tol"} | _COMMON_OPTIONAL)
-    freq = _parse_frequencies(config["frequencies"])
-    mu = _parse_measure(config["measure"])
-    tol = config.get("tol")
-    if tol is not None and (not isinstance(tol, (int, float)) or tol < 0):
-        raise ConfigError("'tol' must be a nonnegative number")
-    ev = build_evaluator(freq)
+def _cmd_moments(frequencies, measure, tol=None):
+    ev = build_evaluator(frequencies)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        seq = transform(ev, mu)
+        seq = transform(ev, measure)
     report = hausdorff_check(seq, tol)
 
     atoms = None
@@ -316,35 +298,24 @@ def _cmd_moments(config):
                 got = sum(w * (x - seq.origin) ** kk for x, w in nu.atoms)
                 residuals.append(abs(got - sk))
         except (ValueError, ArithmeticError):
-            recovered = False
+            pass
     payload = {
         "command": "moments",
         "sequence": list(seq.values),
         "support": [seq.origin, seq.origin + seq.support_length],
         "hypothesis_certified": seq.hypothesis_certified,
-        "conditions": [
-            {
-                "label": c.label,
-                "min_eigenvalue": c.min_eigenvalue,
-                "threshold": c.threshold,
-                "passed": c.passed,
-            }
-            for c in report.conditions
-        ],
+        "conditions": [dataclasses.asdict(c) for c in report.conditions],
         "passed": report.passed,
         "recovered": recovered,
         "atoms": atoms,
         "residuals": residuals,
     }
-    violated = not report.passed or (report.passed and not recovered)
-    return payload, violated
+    return payload, not recovered  # recovery runs only on a passed check
 
 
-def _cmd_certify(config):
-    _require_keys(config, {"frequencies"}, _COMMON_OPTIONAL)
-    freq = _parse_frequencies(config["frequencies"])
-    cert = monotonicity_certificate(freq)
-    necessary = check_necessary(freq)
+def _cmd_certify(frequencies):
+    cert = monotonicity_certificate(frequencies)
+    necessary = check_necessary(frequencies)
     payload = {
         "command": "certify",
         "kind": cert.kind.value,
@@ -352,11 +323,10 @@ def _cmd_certify(config):
         "pairs": [list(p) for p in cert.pairs],
         "nonnegative_index": cert.nonnegative_index,
         "derivative_zero": cert.derivative_zero,
-        "frequency_sum": sum(v.real for v in freq.entries),
+        "frequency_sum": sum(v.real for v in frequencies.entries),
         "necessary": necessary,
     }
-    violated = cert.kind is CertificateKind.NONE or not necessary
-    return payload, violated
+    return payload, cert.kind is CertificateKind.NONE or not necessary
 
 
 _COMMANDS = {
@@ -373,46 +343,42 @@ _COMMANDS = {
 # Rendering
 # ---------------------------------------------------------------------------
 
+#: CSV header, and the payload fields of its one row, of the report commands.
+_CSV_REPORTS = {
+    "verify": ["status", "witness", "boundary", "samples"],
+    "certify": ["kind", "rounds", "pairs", "nonnegative_index",
+                "derivative_zero", "frequency_sum", "necessary"],
+}
+
+
+def _moment_records(payload: dict) -> list:
+    rows = [["moment", k, v] for k, v in enumerate(payload["sequence"])]
+    rows.append(["hypothesis_certified", "", payload["hypothesis_certified"]])
+    rows += [["condition", c["label"], c["passed"]] for c in payload["conditions"]]
+    rows += [["passed", "", payload["passed"]], ["recovered", "", payload["recovered"]]]
+    if payload["atoms"]:
+        for i, (x, w) in enumerate(payload["atoms"]):
+            rows += [["atom_location", i, x], ["atom_weight", i, w]]
+        rows += [["residual", k, r] for k, r in enumerate(payload["residuals"])]
+    return rows
+
+
 def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _render_csv(payload: dict) -> str:
+    if "rows" in payload:
+        header, rows = payload["columns"], payload["rows"]
+    elif payload["command"] in _CSV_REPORTS:
+        header = _CSV_REPORTS[payload["command"]]
+        rows = [[payload[key] for key in header]]
+    else:
+        header, rows = ["record", "index", "value"], _moment_records(payload)
     out = io.StringIO()
     writer = csv.writer(out)
-    if "rows" in payload and "columns" in payload:
-        writer.writerow(payload["columns"])
-        for row in payload["rows"]:
-            writer.writerow([_fmt(v) for v in row])
-    elif payload["command"] == "verify":
-        writer.writerow(["status", "witness", "boundary", "samples"])
-        writer.writerow([_fmt(payload[k]) for k in ("status", "witness", "boundary", "samples")])
-    elif payload["command"] == "certify":
-        writer.writerow(["kind", "rounds", "pairs", "nonnegative_index",
-                         "derivative_zero", "frequency_sum", "necessary"])
-        pairs = ";".join(f"{i}-{j}" for i, j in payload["pairs"])
-        writer.writerow([
-            payload["kind"], _fmt(payload["rounds"]), pairs,
-            _fmt(payload["nonnegative_index"]), _fmt(payload["derivative_zero"]),
-            _fmt(payload["frequency_sum"]), _fmt(payload["necessary"]),
-        ])
-    elif payload["command"] == "moments":
-        writer.writerow(["record", "index", "value"])
-        for k, v in enumerate(payload["sequence"]):
-            writer.writerow(["moment", str(k), _fmt(v)])
-        writer.writerow(["hypothesis_certified", "", _fmt(payload["hypothesis_certified"])])
-        for cond in payload["conditions"]:
-            writer.writerow(["condition", cond["label"], _fmt(cond["passed"])])
-        writer.writerow(["passed", "", _fmt(payload["passed"])])
-        writer.writerow(["recovered", "", _fmt(payload["recovered"])])
-        if payload["atoms"]:
-            for i, (x, w) in enumerate(payload["atoms"]):
-                writer.writerow(["atom_location", str(i), _fmt(x)])
-                writer.writerow(["atom_weight", str(i), _fmt(w)])
-            for k, r in enumerate(payload["residuals"]):
-                writer.writerow(["residual", str(k), _fmt(r)])
-    else:  # pragma: no cover - every command is handled above
-        raise ValueError(f"no CSV renderer for {payload['command']!r}")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return out.getvalue()
 
 
@@ -443,11 +409,10 @@ def main(argv=None) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
-        output_cfg = config.get("output", {})
-        if output_cfg and (not isinstance(output_cfg, dict)
-                           or not set(output_cfg) <= {"path", "format"}):
+        output = config.pop("output", {})
+        if not isinstance(output, dict) or not set(output) <= {"path", "format"}:
             raise ConfigError("'output' must be an object with keys path/format")
-        payload, violated = _COMMANDS[args.command](config)
+        payload, violated = _arguments(_COMMANDS[args.command], config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"expfun: config error: {exc}", file=sys.stderr)
         return 2
@@ -455,13 +420,13 @@ def main(argv=None) -> int:
         print(f"expfun: numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    fmt = args.format or output_cfg.get("format") or "csv"
+    fmt = args.format or output.get("format") or "csv"
     if fmt not in ("csv", "json"):
         print(f"expfun: config error: unknown format {fmt!r}", file=sys.stderr)
         return 2
     text = _render_json(payload) if fmt == "json" else _render_csv(payload)
 
-    path = args.out or output_cfg.get("path")
+    path = args.out or output.get("path")
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

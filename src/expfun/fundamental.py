@@ -135,7 +135,8 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray):
     ``_CHUNK_ENTRIES`` matrix entries.  In a chunk the Pade(13) kernel runs
     as stacked matrix products and one stacked solve, and each squaring acts
     on the part of the chunk that still needs it.  Matrices are complex
-    unless every frequency is real.
+    unless every frequency is real.  At x = 0 the kernel's solve of b0*I
+    against b0*I is off by an ulp, so those rows are set to the identity.
     """
     diag = ev.diagonal
     count = len(diag)
@@ -145,6 +146,7 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray):
     idx = np.arange(count)
     ident = np.eye(count, dtype=diag.dtype)
     b = _PADE_13
+    has_zero = np.count_nonzero(xs) < len(xs)  # cheaper than xs.all() on one-point calls
     for lo in range(0, len(xs), step):
         rows = order[lo:lo + step]
         depth = squarings[rows]
@@ -163,6 +165,8 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray):
         for level in range(depth[-1]):
             tail = r[np.searchsorted(depth, level, side="right"):]
             tail[...] = tail @ tail
+        if has_zero:
+            r[t == 0.0] = ident
         yield rows, r
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from .frequencies import as_frequency_vector, is_symmetric
 from .fundamental import (
     FundamentalEvaluator,
-    basis,
     build_evaluator,
     derivative_grid,
     derivative_table,
@@ -155,6 +154,19 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     return SignReport("violated", witness, boundary, grid, sign)
 
 
+def _weighted_basis_sum(ev: FundamentalEvaluator, poly: PolynomialCoeffs, x: float) -> float:
+    """sum_k a_k b_k(x), with b_k(x) = k! Phi^(n-k)(x) read from one derivative_table row."""
+    n = ev.n
+    if poly.degree > n:
+        raise ValueError(f"polynomial degree {poly.degree} exceeds order index {n}")
+    row = derivative_table(ev, [x], n)[0]
+    total = 0.0
+    for k, a in enumerate(poly.coeffs):
+        if a != 0.0:
+            total += a * (math.factorial(k) * row[n - k])
+    return float(total)
+
+
 #: Gauss-Legendre orders of the convolution integral in ``identity_residual``.
 _IDENTITY_START_ORDER = 16
 _IDENTITY_MAX_ORDER = 4096
@@ -175,13 +187,7 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float,
     """
     poly = as_polynomial(poly)
     n = ev.n
-    if poly.degree > n:
-        raise ValueError(f"polynomial degree {poly.degree} exceeds order index {n}")
-    lhs = 0.0
-    for k, a in enumerate(poly.coeffs):
-        if a != 0.0:
-            lhs += a * basis(ev, k, x)
-
+    lhs = _weighted_basis_sum(ev, poly, x)
     if x == 0.0:
         integral = 0.0
     else:
@@ -199,13 +205,7 @@ def dominance_gap(ev: FundamentalEvaluator, poly, x: float) -> float:
     strictly positive for x in (0, B] and exactly zero at x = 0.
     """
     poly = as_polynomial(poly)
-    if poly.degree > ev.n:
-        raise ValueError(f"polynomial degree {poly.degree} exceeds order index {ev.n}")
-    total = 0.0
-    for k, a in enumerate(poly.coeffs):
-        if a != 0.0:
-            total += a * basis(ev, k, x)
-    return total - poly(x)
+    return _weighted_basis_sum(ev, poly, x) - poly(x)
 
 
 @dataclass(frozen=True)

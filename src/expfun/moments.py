@@ -45,6 +45,8 @@ class Measure:
 
     def __post_init__(self):
         a, b = (float(self.support[0]), float(self.support[1]))
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"support bounds must be finite, got [{a}, {b}]")
         if not a <= b:
             raise ValueError("support must satisfy a <= b")
         object.__setattr__(self, "support", (a, b))
@@ -54,8 +56,8 @@ class Measure:
             cleaned = []
             for x, w in self.atoms:
                 x, w = float(x), float(w)
-                if w < 0.0:
-                    raise ValueError(f"negative atom weight {w}")
+                if not 0.0 <= w < math.inf:
+                    raise ValueError(f"atom weight {w} is not finite and nonnegative")
                 if not a - 1e-12 <= x <= b + 1e-12:
                     raise ValueError(f"atom location {x} outside support [{a}, {b}]")
                 cleaned.append((x, w))

@@ -325,6 +325,22 @@ class TestHarness:
         code, out, err = run(capsys, [command, "--config", write_config(tmp_path, config)])
         assert code == 2 and out == "" and "config error" in err and "finite" in err
 
+    @pytest.mark.parametrize("command, config", [
+        ("verify", {"frequencies": [-1, -2], "m": 2, "interval": [0, 3], "tol": math.nan}),
+        ("verify", {"frequencies": [-1, -2], "m": 2, "interval": [0, 3], "tol": True}),
+        ("eval", {"frequencies": [-1, -2], "interval": [False, True], "samples": 3}),
+        ("certify", {"frequencies": [True, -1]}),
+        ("hankel", {"frequencies": [-1, -2], "k": 1, "interval": [0, 3], "tol": -1}),
+        ("moments", {"frequencies": [0, 1, -1],
+                     "measure": {"kind": "density", "support": [0, math.inf], "expr": "uniform"}}),
+        ("moments", {"frequencies": [0, 1, -1],
+                     "measure": {"kind": "atoms", "support": [0, 1], "atoms": [[0.5, math.nan]]}}),
+    ], ids=["tol_nan", "tol_bool", "interval_bool", "frequency_bool", "hankel_tol_negative",
+            "support_inf", "weight_nan"])
+    def test_config_numbers_are_finite_and_not_booleans(self, tmp_path, capsys, command, config):
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, config)])
+        assert code == 2 and out == "" and "config error" in err
+
     def test_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "frequencies": [-1, -2], "k": 1, "interval": [0, 3], "samples": 33,

@@ -102,6 +102,17 @@ class TestBasis:
             ev = build_evaluator(entries)
             assert basis(ev, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("entries", [[-1, -2], [0, 0, 0], [1j, -1j, 0.5]])
+    def test_exact_initial_data_at_origin(self, entries):
+        # expm(0 * Z) is the identity, so Phi^(j)(0) is exactly 0 for j < n and 1 for j = n.
+        ev = build_evaluator(entries)
+        assert eval_derivative(ev, ev.n, 0.0) == 1.0
+        assert eval_derivative(ev, ev.n, -0.0) == 1.0
+        assert basis(ev, 0, 0.0) == 1.0
+        exact = [0.0] * ev.n + [1.0]
+        assert derivative_table(ev, [0.5, 0.0], ev.n)[1].tolist() == exact
+        assert derivative_grid(ev, 0.0, 1.0, 5, ev.n)[0].tolist() == exact
+
     def test_scaled_derivative(self):
         # n = 1 here, so b_0 is the first derivative and b_1 the value itself.
         ev = build_evaluator([-1, -2])

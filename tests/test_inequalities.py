@@ -134,6 +134,9 @@ class TestDominance:
             poly = [0.4] + [0.1] * ev.n
             assert abs(dominance_gap(ev, poly, 0.0)) <= 1e-12
 
+    def test_gap_is_exactly_zero_at_origin(self):
+        assert dominance_gap(build_evaluator([0, 1, -1]), [1.0], 0.0) == 0.0
+
     def test_polynomial_case_has_zero_gap(self):
         ev = build_evaluator([0, 0, 0])
         for x in (-1.0, 0.5, 2.0):

@@ -46,6 +46,16 @@ class TestMeasure:
         with pytest.raises(ValueError):
             Measure(kind="spectral", support=(0, 1))
 
+    @pytest.mark.parametrize("build", [
+        lambda: Measure.from_density(lambda x: 1.0, (0.0, math.inf)),
+        lambda: Measure.from_atoms([(0.5, 1.0)], (-math.inf, 1.0)),
+        lambda: Measure.from_atoms([(0.5, math.nan)], (0.0, 1.0)),
+        lambda: Measure.from_atoms([(0.5, math.inf)], (0.0, 1.0)),
+    ], ids=["density_support_inf", "atoms_support_-inf", "weight_nan", "weight_inf"])
+    def test_non_finite_support_or_weight_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
 
 class TestTransform:
     def test_unit_atom_at_left_endpoint(self):
