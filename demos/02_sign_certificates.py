@@ -2,8 +2,8 @@
 
 The downstream inequalities all hinge on the (n+1)-th derivative of the
 fundamental solution staying nonnegative on [0, B].  verify_sign samples a
-grid, reports the first violation, and refines the adjacent sign change by
-bisection.
+grid, reports the first violation, and refines the adjacent sign change to a
+bracket of width 1e-10.
 """
 
 import math

@@ -10,7 +10,8 @@ Each command is a ``_cmd_*`` function whose parameters are its config keys:
 a parameter without a default is a required key, one with a default an
 optional key.  ``_KEYS`` maps every key to the parser that checks its JSON
 value, and ``_arguments`` checks a configuration against a command and calls
-it.  The ``output`` object is read by ``main`` for every command.
+it.  The ``output`` object is accepted by every command; ``main`` parses it
+before the command runs.
 
 Exit codes: 0 success (negative findings included), 1 a check failed under
 ``--assert``, 2 configuration error, 3 numerical failure.
@@ -36,11 +37,12 @@ from .fundamental import build_evaluator, derivative_grid
 from .inequalities import (
     CertificateKind,
     DEFAULT_GRID,
-    _bisect_predicate,
+    _hankel_entries,
+    _refine_sign_change,
+    _turan_ratios,
     hankel_matrix,
     is_positive_definite,
     monotonicity_certificate,
-    turan_ratio,
     verify_sign,
 )
 from .moments import Measure, hausdorff_check, recover_measure, transform
@@ -111,6 +113,16 @@ def _interval(raw) -> tuple:
     return lo, hi
 
 
+def _output(raw) -> dict:
+    if not isinstance(raw, dict) or not set(raw) <= {"path", "format"}:
+        raise ConfigError("'output' must be an object with keys path/format")
+    if "path" in raw and (not isinstance(raw["path"], str) or not raw["path"]):
+        raise ConfigError(f"'output.path' must be a nonempty string, got {raw['path']!r}")
+    if "format" in raw and raw["format"] not in ("csv", "json"):
+        raise ConfigError(f"'output.format' must be csv or json, got {raw['format']!r}")
+    return raw
+
+
 def _measure(raw) -> Measure:
     if not isinstance(raw, dict) or raw.get("kind") not in ("atoms", "density"):
         raise ConfigError("must be an object whose 'kind' is 'atoms' or 'density'")
@@ -160,6 +172,7 @@ _KEYS = {
     "tol": _tolerance,
     "sign": _sign,
     "measure": _measure,
+    "output": _output,
 }
 
 
@@ -239,14 +252,13 @@ def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
     lo, hi = interval
     ev = build_evaluator(frequencies)
     xs = np.linspace(lo, hi, samples)
-    rows = []
-    for x in xs:
-        h = hankel_matrix(ev, k, float(x))
-        rows.append([float(x), float(np.linalg.det(h.entries)), is_positive_definite(h, tol)])
+    mats = _hankel_entries(derivative_grid(ev, lo, hi, samples, max(frequencies.n, 2 * k)), k)
+    rows = [[float(x), float(det), is_positive_definite(h, tol)]
+            for x, det, h in zip(xs, np.linalg.det(mats), mats)]
 
-    # Bisection-refined abscissae where the determinant changes sign.
-    det_negative = lambda x: float(np.linalg.det(hankel_matrix(ev, k, x).entries)) < 0.0
-    sign_changes = [_bisect_predicate(det_negative, x0, x1, d0 < 0.0)
+    # Refined abscissae where the determinant changes sign, by secant steps from the cell ends.
+    det_at = lambda x: (float(np.linalg.det(hankel_matrix(ev, k, x).entries)),)
+    sign_changes = [_refine_sign_change(det_at, x0, x1, (d0,), (d1,))
                     for (x0, d0, _), (x1, d1, _) in zip(rows, rows[1:])
                     if (d0 < 0.0) != (d1 < 0.0)]
     payload = {
@@ -266,7 +278,8 @@ def _cmd_turan(frequencies, interval, samples=65):
     ev = build_evaluator(frequencies)
     upper = frequencies.n / (frequencies.n - 1)
     xs = np.linspace(lo, hi, samples)
-    rows = [[float(x), turan_ratio(ev, float(x)), 1.0, upper] for x in xs]
+    ratios = _turan_ratios(derivative_grid(ev, lo, hi, samples, 2), xs)
+    rows = [[float(x), float(ratio), 1.0, upper] for x, ratio in zip(xs, ratios)]
     violated = any(
         x > 0 and not (1.0 - 1e-9 <= ratio < upper + 1e-9) for x, ratio, _, _ in rows
     )
@@ -409,9 +422,7 @@ def main(argv=None) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
-        output = config.pop("output", {})
-        if not isinstance(output, dict) or not set(output) <= {"path", "format"}:
-            raise ConfigError("'output' must be an object with keys path/format")
+        output = _KEYS["output"](config.pop("output", {}))
         payload, violated = _arguments(_COMMANDS[args.command], config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"expfun: config error: {exc}", file=sys.stderr)
@@ -421,9 +432,6 @@ def main(argv=None) -> int:
         return 3
 
     fmt = args.format or output.get("format") or "csv"
-    if fmt not in ("csv", "json"):
-        print(f"expfun: config error: unknown format {fmt!r}", file=sys.stderr)
-        return 2
     text = _render_json(payload) if fmt == "json" else _render_csv(payload)
 
     path = args.out or output.get("path")

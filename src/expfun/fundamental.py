@@ -13,14 +13,15 @@ scaling-and-squaring kernel that groups abscissae by scaling depth, works in
 bounded chunks and runs in real arithmetic when every frequency is real:
 
 * ``derivative_table`` takes any abscissae and spends one exponential per
-  point.  Bisection, quadrature nodes and the single-point functions use
-  it: ``eval_derivative`` and ``basis`` read one row of it, and
+  point.  Sign-change refinement, quadrature nodes and the single-point
+  functions use it: ``eval_derivative`` and ``basis`` read one row of it, and
   ``eval_derivative_complex`` runs the same kernel without the real
   projection.
 * ``derivative_grid`` takes a uniform grid ``linspace(lo, hi, count)`` and
   writes every point as the product of two exponentials, an anchor and an
   offset, so about 2 sqrt(count) exponentials serve the whole grid.  Sign
-  scans (``verify_sign``) and the CLI ``eval`` table use it.
+  scans (``verify_sign``) and the CLI ``eval``, ``hankel`` and ``turan``
+  tables use it.
 
 Two independent evaluation routes, a partial-fraction sum (distinct
 frequencies only) and a truncated power series, are provided for

@@ -4,10 +4,18 @@ Once the (n+1)-th derivative of the fundamental solution is certified
 nonnegative on an interval, the weighted basis sum dominates every polynomial
 that is nonnegative there, the associated Hankel matrices are positive
 definite, and the squared-derivative ratio is pinched between 1 and
-n/(n-1).  This module provides the certificate (a sampling check with
-bisection refinement, not a proof), the integral identity behind the
-dominance, and the monotonicity criteria that make the sign hypothesis easy
-to establish for many frequency vectors.
+n/(n-1).  This module provides the certificate (a sampling check, not a
+proof), the integral identity behind the dominance, and the monotonicity
+criteria that make the sign hypothesis easy to establish for many frequency
+vectors.
+
+Sign changes, of a sampled derivative here and of a Hankel determinant in
+the CLI, are located by one bracketed refinement, ``_refine_sign_change``.
+It starts from the two samples around the change, takes safeguarded Newton
+steps on f/f' where the row carries the next two derivatives (secant steps
+where it does not), and falls back to bisection, so it returns a bracket of
+the same width as bisection would after a few evaluations instead of about
+25.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .fundamental import (
     build_evaluator,
     derivative_grid,
     derivative_table,
-    eval_derivative,
+    eval_derivative,  # unused here; bench/test_smoke.py checks that tracing rebinds this copy
 )
 from .quadrature import gauss_legendre
 
@@ -45,7 +53,7 @@ __all__ = [
     "monotonicity_certificate",
 ]
 
-#: Width to which sign-change abscissae are narrowed by bisection.
+#: Width of the bracket to which ``_refine_sign_change`` narrows a sign change.
 BISECTION_XTOL = 1e-10
 
 #: Default number of grid samples for sign verification.
@@ -90,8 +98,9 @@ class SignReport:
 
     ``status`` is "nonnegative" when every sample of sign * value clears
     -tol, else "violated" with the first offending sample as ``witness``.
-    ``boundary`` is the bisection-refined abscissa of the adjacent sign
-    change, when one exists on the grid.
+    ``boundary`` locates the adjacent sign change, when one exists on the
+    grid: the midpoint of a bracket no wider than ``BISECTION_XTOL`` that
+    holds it.
     """
 
     status: str
@@ -101,15 +110,58 @@ class SignReport:
     sign: int = 1
 
 
-def _bisect_predicate(pred: Callable[[float], bool], lo: float, hi: float,
-                      lo_state: bool, xtol: float = BISECTION_XTOL) -> float:
-    """Shrink [lo, hi] around the flip of a boolean predicate."""
+def _step_target(x0: float, row0, x: float, row) -> float:
+    """Next root estimate from the last two probes, or NaN when the step is undefined.
+
+    Rows holding (f, f', f'') give a Newton step on f/f' from x, which stays
+    quadratic at multiple zeros; rows holding f alone give the secant step
+    through (x0, f(x0)) and (x, f(x)).
+    """
+    if len(row) > 2:
+        f, d1, d2 = float(row[0]), float(row[1]), float(row[2])
+        den = d1 * d1 - f * d2
+        return x - f * d1 / den if den else math.nan
+    den = float(row[0]) - float(row0[0])
+    return x - float(row[0]) * (x - x0) / den if den else math.nan
+
+
+def _refine_sign_change(probe: Callable[[float], Sequence[float]], lo: float, hi: float,
+                        row_lo, row_hi, xtol: float = BISECTION_XTOL) -> float:
+    """Narrow [lo, hi] around the flip of the predicate f < 0 and return the bracket's midpoint.
+
+    ``row_lo`` and ``row_hi`` are the rows at the ends, the predicate taking
+    opposite states there; ``probe(x)`` returns the row at x.  The result is
+    the midpoint of a bracket no wider than ``xtol`` that still holds the
+    flip, or of two adjacent floats where their spacing exceeds ``xtol``.
+
+    Steps follow ``_step_target`` from the last probe, the first one from the
+    end of smaller |f| at no evaluation cost.  As in ``rtsafe`` (Numerical
+    Recipes, section 9.4), a target outside the bracket, or a step longer
+    than half the step before the last, is replaced by bisection.
+    Targets are clamped to a margin of xtol/2 (at least one float spacing)
+    inside the bracket.  So a target on an end is kept, and a converged
+    target, within the margin of the last probe, is probed one margin from
+    that end, just beyond the target, which closes the bracket when the
+    target was right.
+    """
+    lo_negative = row_lo[0] < 0.0
+    (x0, row0), (x, row) = sorted(((lo, row_lo), (hi, row_hi)), key=lambda end: -abs(end[1][0]))
+    margin = max(0.5 * xtol, math.ulp(max(abs(lo), abs(hi))))
+    older = last = hi - lo
     while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid) == lo_state:
-            lo = mid
+        t = _step_target(x0, row0, x, row)
+        step = abs(t - x)
+        if not (lo <= t <= hi and step <= 0.5 * older):
+            t = 0.5 * (lo + hi)
+        t = min(max(t, lo + margin), hi - margin)
+        if not lo < t < hi:
+            break  # lo and hi are adjacent floats
+        older, last = last, abs(t - x)
+        x0, row0, x, row = x, row, t, probe(t)
+        if (row[0] < 0.0) == lo_negative:
+            lo = t
         else:
-            hi = mid
+            hi = t
     return 0.5 * (lo + hi)
 
 
@@ -118,11 +170,13 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
                 sign: int = 1) -> SignReport:
     """Sampling certificate that sign * Phi^(m) >= -tol on [lo, hi].
 
-    Samples a uniform grid through ``derivative_grid``; on a violation the
-    report carries the first offending abscissa and the nearest sign change
-    refined by bisection to ``BISECTION_XTOL``.  With ``sign=-1`` the check
-    certifies nonpositivity.  A "nonnegative" status is a grid certificate,
-    not a proof.
+    Samples a uniform grid through ``derivative_grid``, which tabulates
+    orders m to m + 2; on a violation the report carries the first offending
+    abscissa and the nearest sign change, refined by ``_refine_sign_change``
+    from the two grid rows around it, each further step costing one
+    ``derivative_table`` row (about 3 on the benchmark's scans).  With
+    ``sign=-1`` the check certifies nonpositivity.  A "nonnegative" status is
+    a grid certificate, not a proof.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -132,25 +186,25 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         raise ValueError("sign must be +1 or -1")
 
     xs = np.linspace(lo, hi, grid)
-    vals = sign * derivative_grid(ev, lo, hi, grid, m)[:, m]
+    rows = sign * derivative_grid(ev, lo, hi, grid, m + 2)[:, m:]
+    vals = rows[:, 0]
     bad = np.flatnonzero(vals < -tol)
     if bad.size == 0:
         return SignReport("nonnegative", None, None, grid, sign)
 
     i = int(bad[0])
     witness = float(xs[i])
-    negative = lambda x: sign * eval_derivative(ev, m, x) < 0.0
-
-    boundary = None
     if i > 0 and vals[i - 1] >= 0.0:
         # Entered the negative region: refine the crossing on its left.
-        boundary = _bisect_predicate(negative, float(xs[i - 1]), float(xs[i]), False)
+        j = i
     else:
         # Negative from the start: refine where the sign is first recovered.
         after = np.flatnonzero(vals[i:] >= 0.0)
-        if after.size:
-            j = i + int(after[0])
-            boundary = _bisect_predicate(negative, float(xs[j - 1]), float(xs[j]), True)
+        if not after.size:
+            return SignReport("violated", witness, None, grid, sign)
+        j = i + int(after[0])
+    probe = lambda x: sign * derivative_table(ev, [x], m + 2)[0, m:]
+    boundary = _refine_sign_change(probe, float(xs[j - 1]), float(xs[j]), rows[j - 1], rows[j])
     return SignReport("violated", witness, boundary, grid, sign)
 
 
@@ -238,14 +292,21 @@ def hankel_matrix(ev: FundamentalEvaluator, k: int, x: float) -> HankelMatrix:
             "require 2k <= n + 1"
         )
     top = max(n, 2 * k)
-    vals = derivative_table(ev, [x], top)[0]
-    h = np.empty((k + 1, k + 1))
-    for r in range(k + 1):
-        for s in range(k + 1):
-            j = r + s
-            h[r, s] = math.factorial(j) * vals[top - j]
+    h = _hankel_entries(derivative_table(ev, [x], top), k)[0]
     h.setflags(write=False)
     return HankelMatrix(entries=h, x=float(x), k=k)
+
+
+def _hankel_entries(rows: np.ndarray, k: int) -> np.ndarray:
+    """Stack of (k+1) x (k+1) Hankel matrices, one per row of a derivative table.
+
+    Entry (r, s) of matrix i is (r+s)! * rows[i, top - (r+s)], with top the
+    table's highest order.
+    """
+    top = rows.shape[1] - 1
+    j = np.add.outer(np.arange(k + 1), np.arange(k + 1))
+    factorials = np.array([float(math.factorial(i)) for i in range(2 * k + 1)])
+    return factorials[j] * rows[:, top - j]
 
 
 def cholesky_factor(h, tol: float = 0.0) -> Optional[np.ndarray]:
@@ -291,24 +352,28 @@ def polynomial_nonnegative_on(poly, lo: float, hi: float, tol: float = 1e-12) ->
     return all(poly(float(x)) >= -tol for x in xs)
 
 
-#: Guard against near-vanishing denominators in the derivative ratio.
-RATIO_DENOM_GUARD = 1e-14
-
-
 def turan_ratio(ev: FundamentalEvaluator, x: float) -> float:
     """Squared first derivative over (second derivative times value).
 
     For real frequencies with the sign hypothesis certified, the ratio lies
     in [1, n/(n-1)) for x in (0, B); outside that regime it can exceed the
-    upper bound.
+    upper bound.  Raises ArithmeticError only where the denominator is
+    exactly zero, as at x = 0.  A tiny denominator near the origin still
+    gives an accurate ratio for real frequencies, whose derivatives keep
+    their relative accuracy there.
     """
-    vals = derivative_table(ev, [x], 2)[0]
-    denom = vals[2] * vals[0]
-    if abs(denom) <= RATIO_DENOM_GUARD:
+    return float(_turan_ratios(derivative_table(ev, [x], 2), [x])[0])
+
+
+def _turan_ratios(rows: np.ndarray, xs) -> np.ndarray:
+    """Phi'^2 / (Phi'' Phi) from the rows of a derivative table at the abscissae xs."""
+    denom = rows[:, 2] * rows[:, 0]
+    zero = np.flatnonzero(denom == 0.0)
+    if zero.size:
         raise ArithmeticError(
-            f"second derivative times value is {denom:.3e} at x={x}; ratio undefined"
+            f"second derivative times value is 0 at x={float(xs[zero[0]])}; ratio undefined"
         )
-    return float(vals[1] * vals[1] / denom)
+    return rows[:, 1] * rows[:, 1] / denom
 
 
 class CertificateKind(Enum):
@@ -383,17 +448,18 @@ def _greedy_pair_chain(values: Sequence[float]) -> tuple:
 
 def _locate_derivative_zero(freq) -> Optional[float]:
     # With every frequency negative the solution decays, so its derivative
-    # turns negative after an interior maximum; bracket and bisect that flip.
+    # turns negative after an interior maximum; bracket and refine that flip.
     ev = build_evaluator(freq)
     scale = max(1.0, max(abs(v) for v in freq.entries))
     xs = np.geomspace(1e-3, 1e4, 400) / scale
-    pos = derivative_table(ev, xs, 1)[:, 1] > 0.0
+    rows = derivative_table(ev, xs, 3)[:, 1:]
+    pos = rows[:, 0] > 0.0
     flips = np.flatnonzero(pos[:-1] & ~pos[1:])
     if flips.size == 0:
         return None
     i = int(flips[0])
-    negative = lambda t: eval_derivative(ev, 1, t) < 0.0
-    return _bisect_predicate(negative, float(xs[i]), float(xs[i + 1]), False)
+    probe = lambda t: derivative_table(ev, [t], 3)[0, 1:]
+    return _refine_sign_change(probe, float(xs[i]), float(xs[i + 1]), rows[i], rows[i + 1])
 
 
 def monotonicity_certificate(freq) -> MonotonicityCertificate:

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import expfun
+import expfun.cli
 from expfun.cli import main
+from expfun.inequalities import BISECTION_XTOL
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -119,6 +121,22 @@ class TestHankel:
         report = json.loads(out)
         assert len(report["sign_changes"]) == 1
         assert report["sign_changes"][0] == pytest.approx(math.log(3 + math.sqrt(5)), abs=1e-9)
+
+    def test_sign_change_takes_fewer_calls_than_bisection(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = expfun.cli.hankel_matrix
+        monkeypatch.setattr(expfun.cli, "hankel_matrix",
+                            lambda ev, k, x: calls.append(x) or original(ev, k, x))
+        cfg = write_config(tmp_path, {
+            "frequencies": [-1, -2], "k": 1, "interval": [0, 3], "samples": 257,
+        })
+        code, out, _ = run(capsys, ["hankel", "--config", cfg, "--format", "json"])
+        assert code == 0
+        (flip,) = json.loads(out)["sign_changes"]
+        assert flip == pytest.approx(math.log(3 + math.sqrt(5)), abs=BISECTION_XTOL)
+        # Bisection halves the 3/256 cell down to the tolerance in 27 steps.
+        bisection_steps = math.ceil(math.log2(3 / 256 / BISECTION_XTOL))
+        assert 0 < len(calls) < bisection_steps
 
     def test_assert_mode_on_indefinite_samples(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -393,6 +411,21 @@ class TestHarness:
         ])
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["kind"] == "symmetric"
+
+    @pytest.mark.parametrize("output", [
+        {"path": 7}, {"path": ""}, {"path": None}, {"format": "xml"}, {"format": None}, [],
+        {"path": "x.csv", "mode": "w"},
+    ], ids=["path_int", "path_empty", "path_null", "format_xml", "format_null", "not_object",
+            "unknown_key"])
+    def test_bad_output_is_config_error_before_the_command_runs(self, tmp_path, capsys, output):
+        # Without the output object this config is a numerical failure (exit 3):
+        # the vector is not conjugate-closed.
+        cfg = write_config(tmp_path, {
+            "frequencies": [[0, 1], [0, 0]], "interval": [1, 1], "samples": 1, "output": output,
+        })
+        code, out, err = run(capsys, ["eval", "--config", cfg])
+        assert code == 2 and out == "" and "config error" in err and "output" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_output_settings_from_config(self, tmp_path, capsys):
         target = tmp_path / "from_config.json"

@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import expfun.inequalities as inequalities
 from expfun import (
     CertificateKind,
     PolynomialCoeffs,
     build_evaluator,
+    derivative_grid,
     dominance_gap,
     eval_derivative,
     hankel_matrix,
@@ -22,6 +25,10 @@ from expfun import (
 
 LOG2_TWICE = 2 * math.log(2)
 DET_FLIP = math.log(3 + math.sqrt(5))
+XTOL = inequalities.BISECTION_XTOL
+
+#: Twelve frequencies in six pairs of positive sum: Phi^(6) has a 5-fold zero at 0.
+PAIR_CHAIN_12 = [0.8, -0.7, 1.4, -1.3, 2.1, -2.0, 3.1, -2.9, 3.8, -3.6, 4.5, -4.4]
 
 
 def random_symmetric(rng, count, scale=1.2):
@@ -91,6 +98,76 @@ class TestVerifySign:
             verify_sign(ev, 2, 0.0, 1.0, grid=32)
         with pytest.raises(ValueError):
             verify_sign(ev, 2, 0.0, 1.0, sign=2)
+
+
+def count_tables(monkeypatch):
+    """Record the row count of every derivative_table call made from inequalities."""
+    calls = []
+    original = inequalities.derivative_table
+
+    def counted(ev, xs, max_order):
+        calls.append(len(xs))
+        return original(ev, xs, max_order)
+
+    monkeypatch.setattr(inequalities, "derivative_table", counted)
+    return calls
+
+
+def bisection_oracle(ev, m, lo, hi, grid, tol=1e-10, sign=1):
+    """Plain bisection of the grid cell whose sign change verify_sign refines."""
+    xs = np.linspace(lo, hi, grid)
+    vals = sign * derivative_grid(ev, lo, hi, grid, m)[:, m]
+    i = int(np.flatnonzero(vals < -tol)[0])
+    j = i if i > 0 and vals[i - 1] >= 0.0 else i + int(np.flatnonzero(vals[i:] >= 0.0)[0])
+    a, b, a_negative = float(xs[j - 1]), float(xs[j]), vals[j - 1] < 0.0
+    while b - a > XTOL:
+        mid = 0.5 * (a + b)
+        if (sign * eval_derivative(ev, m, mid) < 0.0) == a_negative:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+class TestRefineSignChange:
+    @pytest.mark.parametrize("freqs, m, lo, hi, grid, sign, tol", [
+        ([-1, -2], 1, 0.0, 3.0, 4096, 1, 1e-10),
+        ([-1, -2], 2, 0.0, 3.0, 4096, 1, 1e-10),
+        ([1.5, -1.5], 0, -1.0, 1.0, 65, 1, 1e-10),
+        (PAIR_CHAIN_12, 6, -0.5, 0.5, 64, 1, 1e-10),
+        (PAIR_CHAIN_12, 6, -0.25, 1.0, 4096, 1, 1e-10),
+        # The sample next to 0 is 5.6e-17: Phi' squared underflows there, so
+        # the first step bisects and the Newton step after it must be kept.
+        (PAIR_CHAIN_12, 0, -0.3, 0.1, 65, 1, 0.0),
+        ([-1, -2], 1, 0.0, 3.0, 4096, -1, 1e-10),
+        ([1.5, -1.5], 0, -1.0, 1.0, 65, -1, 1e-10),
+    ], ids=["simple_zero", "simple_zero_negative_start", "grid_root_at_origin",
+            "fivefold_zero_between_samples", "fivefold_zero_on_sample",
+            "elevenfold_zero_next_to_sample", "sign_minus_one", "sign_minus_one_root_at_origin"])
+    def test_few_evaluations_and_bisection_bracket(self, monkeypatch, freqs, m, lo, hi, grid,
+                                                   sign, tol):
+        ev = build_evaluator(freqs)
+        oracle = bisection_oracle(ev, m, lo, hi, grid, tol, sign)
+        calls = count_tables(monkeypatch)
+        rep = verify_sign(ev, m, lo, hi, grid=grid, tol=tol, sign=sign)
+        assert rep.status == "violated"
+        assert calls == [1] * len(calls) and 1 <= len(calls) <= 6
+        assert abs(rep.boundary - oracle) <= XTOL
+
+    def test_bracket_of_adjacent_floats_far_from_origin(self):
+        # Near 3e6 the float spacing is 4.7e-10, wider than the tolerance: the
+        # refinement stops at two adjacent floats around the zero pi * 1e6.
+        ev = build_evaluator([1e-6j, -1e-6j])
+        rep = verify_sign(ev, 0, 3e6, 3.3e6)
+        assert rep.status == "violated"
+        assert abs(rep.boundary - math.pi * 1e6) <= 2 * math.ulp(math.pi * 1e6)
+
+    def test_locator_evaluations(self, monkeypatch):
+        calls = count_tables(monkeypatch)
+        cert = monotonicity_certificate([-1, -2])
+        assert cert.derivative_zero == pytest.approx(math.log(2), abs=XTOL)
+        # One 400-row table brackets the zero; at most six one-row probes refine it.
+        assert calls[0] == 400 and calls[1:] == [1] * (len(calls) - 1) and len(calls) <= 7
 
 
 class TestIdentityResidual:
@@ -309,8 +386,7 @@ class TestTuranRatio:
             ev = build_evaluator(entries)
             assert verify_sign(ev, n + 1, 0.0, 3.0, grid=256).status == "nonnegative"
             upper = n / (n - 1)
-            # Stay clear of the origin: both ratio factors vanish to high
-            # order there and fall under the absolute denominator guard.
+            # Small x is covered by test_small_denominators_near_origin.
             for x in np.linspace(0.5, 3.0, 30):
                 ratio = turan_ratio(ev, float(x))
                 assert 1.0 - 1e-9 <= ratio < upper + 1e-9
@@ -332,6 +408,22 @@ class TestTuranRatio:
         ev = build_evaluator([0, 0, 0])
         with pytest.raises(ArithmeticError):
             turan_ratio(ev, 0.0)
+
+    @pytest.mark.parametrize("x", [0.001, 0.01, 0.03])
+    def test_small_denominators_near_origin(self, x):
+        # Phi'' * Phi is about 1e-35, 1e-25 and 1e-20 here: tiny, but each
+        # factor keeps its relative accuracy, so the ratio is defined.  The
+        # reference is partial fractions at 40 digits; in double precision
+        # they cancel to nothing this close to the 6-fold zero at 0.
+        freqs = [1, -1, 2, -2, 0.5, 3, -3]
+        with mpmath.workdps(40):
+            ls = [mpmath.mpf(v) for v in freqs]
+            d = [mpmath.fsum(lj**m * mpmath.exp(lj * x) / mpmath.fprod(lj - lk for lk in ls if lk != lj)
+                             for lj in ls) for m in range(3)]
+            expected = float(d[1] ** 2 / (d[2] * d[0]))
+        got = turan_ratio(build_evaluator(freqs), x)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert 1.0 <= got < 1.2
 
 
 class TestMonotonicityCertificate:
