@@ -100,7 +100,9 @@ class SignReport:
     -tol, else "violated" with the first offending sample as ``witness``.
     ``boundary`` locates the adjacent sign change, when one exists on the
     grid: the midpoint of a bracket no wider than ``BISECTION_XTOL`` that
-    holds it.
+    holds it.  The bracket is around the sign change of the computed values,
+    not of the true Phi^(m); where Phi^(m) is flat relative to its rounding
+    error the two can lie far apart.
     """
 
     status: str
@@ -177,6 +179,12 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     ``derivative_table`` row (about 3 on the benchmark's scans).  With
     ``sign=-1`` the check certifies nonpositivity.  A "nonnegative" status is
     a grid certificate, not a proof.
+
+    The boundary's bracket holds the sign change of the computed Phi^(m),
+    which can sit outside it where the slope is small against the value's
+    rounding error: ``verify_sign(build_evaluator([-1e-6, -2e-6]), 2, 0.0,
+    3e6)`` brackets 1386294.3611002, while the zero is 2 ln 2 * 1e6 =
+    1386294.3611199.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")

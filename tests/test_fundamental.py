@@ -16,6 +16,7 @@ from expfun import (
     eval_via_partial_fractions,
     eval_via_taylor,
 )
+from mpmath_oracle import eval_via_mpmath
 
 
 def random_conjugate_closed(rng, n):
@@ -248,6 +249,45 @@ def twelve_frequency_vectors():
     return real, pairs
 
 
+def assert_matches_mpmath(entries, table, xs, share):
+    """Each column of table within share of its largest 50-digit reference value."""
+    ref = np.array([[eval_via_mpmath(entries, m, x).real for m in range(table.shape[1])]
+                    for x in xs])
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(table - ref) <= share * scale), np.abs(table - ref).max(axis=0) / scale
+
+
+#: Share of each order's largest value allowed against eval_via_mpmath.  The
+#: worst the kernel showed on these points was 1.5e-13 (orders up to 24 of the
+#: twelve real frequencies at x = -2.5).
+MPMATH_SHARE = 1e-12
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_orders_up_to_2n_plus_2(self, which):
+        entries = twelve_frequency_vectors()[which]
+        xs = [-2.5, 0.3, 8.0]
+        table = derivative_table(build_evaluator(entries), xs, 2 * (len(entries) - 1) + 2)
+        assert_matches_mpmath(entries, table, xs, MPMATH_SHARE)
+
+    def test_near_confluent_gap(self):
+        entries = [-1, -1 + 1e-7, -2, 0.5]
+        with pytest.raises(ValueError, match="too close"):
+            eval_via_partial_fractions(entries, 0, 1.0)
+        xs = [-3.0, 0.7, 5.0]
+        table = derivative_table(build_evaluator(entries), xs, 2 * (len(entries) - 1) + 2)
+        assert_matches_mpmath(entries, table, xs, MPMATH_SHARE)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_deep_scaling(self, which):
+        entries = twelve_frequency_vectors()[which]
+        ev = build_evaluator(entries)
+        xs = [-30.0, 30.0]
+        assert fundamental._squarings(ev, np.array(xs)).min() >= 5
+        assert_matches_mpmath(entries, derivative_table(ev, xs, 24), xs, MPMATH_SHARE)
+
+
 class TestDerivativeTable:
     def test_rows_match_partial_fractions(self):
         # A 12-frequency grid reaching squaring depths 0..3 over several chunks.
@@ -341,6 +381,15 @@ class TestDerivativeGrid:
                     assert grid.shape == table.shape and grid.dtype == np.float64
                     scale = np.abs(table).max(axis=0)
                     assert np.all(np.abs(grid - table) <= 1e-12 * scale), (entries, lo, hi, count)
+
+    def test_orders_act_on_the_finished_product(self):
+        # -7 is the offset -6.5 applied to the anchor -0.5.  Z**j must act on the
+        # product column; moving it onto the anchor column or the offset's first
+        # row costs about four digits on conjugate pairs (about 1e-11 of each
+        # order's largest value, where this association gives 5e-15).
+        pairs = twelve_frequency_vectors()[1]
+        grid = derivative_grid(build_evaluator(pairs), -7.0, -0.5, 2, 12)
+        assert_matches_mpmath(pairs, grid, [-7.0, -0.5], 1e-13)
 
     def test_no_cancellation_at_the_origin(self):
         # Anchors on the far side of 0 would sum terms of both signs at the
