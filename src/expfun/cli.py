@@ -26,7 +26,6 @@ import inspect
 import io
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -37,6 +36,7 @@ from .fundamental import build_evaluator, derivative_grid
 from .inequalities import (
     CertificateKind,
     DEFAULT_GRID,
+    PolynomialCoeffs,
     _hankel_entries,
     _refine_sign_change,
     _turan_ratios,
@@ -149,15 +149,8 @@ def _builtin_density(expr, origin):
         rate = _number(float(name[len("truncexp("):-1]))
         return lambda x, r=rate, a=origin: math.exp(-r * (x - a))
     if name.startswith("poly(") and name.endswith(")"):
-        coeffs = [_number(float(c)) for c in name[len("poly("):-1].split(",")]
-
-        def density(x, cs=tuple(coeffs), a=origin):
-            acc = 0.0
-            for c in reversed(cs):
-                acc = acc * (x - a) + c
-            return acc
-
-        return density
+        poly = PolynomialCoeffs([_number(float(c)) for c in name[len("poly("):-1].split(",")])
+        return lambda x: poly(x - origin)
     raise ConfigError(f"unknown density expression {expr!r}; "
                       "use uniform, truncexp(rate) or poly(c0,c1,...)")
 
@@ -194,16 +187,6 @@ def _arguments(command, config: dict):
     return command(**kwargs)
 
 
-def _default_grid() -> int:
-    raw = os.environ.get("EXPFUN_GRID")
-    if raw is None:
-        return DEFAULT_GRID
-    try:
-        return _KEYS["grid"](int(raw))
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"EXPFUN_GRID={raw!r} must be an integer >= 64") from exc
-
-
 # ---------------------------------------------------------------------------
 # Commands.  Parameters are config keys, already parsed.  Each returns
 # (payload, violated) where payload carries either "columns"/"rows" (table)
@@ -225,12 +208,10 @@ def _cmd_eval(frequencies, interval, m=0, samples=65):
     return payload, False
 
 
-def _cmd_verify(frequencies, m, interval, grid=None, tol=1e-10, sign=1):
+def _cmd_verify(frequencies, m, interval, grid=DEFAULT_GRID, tol=1e-10, sign=1):
     lo, hi = interval
     if not lo < hi:
         raise ConfigError(f"bad interval [{lo}, {hi}]")
-    if grid is None:
-        grid = _default_grid()
     ev = build_evaluator(frequencies)
     rep = verify_sign(ev, m, lo, hi, grid=grid, tol=tol, sign=sign)
     payload = {

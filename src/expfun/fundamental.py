@@ -202,7 +202,13 @@ def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
 
 
 def _project(values: np.ndarray) -> np.ndarray:
-    """Real part of values after checking every imaginary residue."""
+    """Real part of values after checking every imaginary residue.
+
+    An inf, or a NaN made from one (0 * inf in the contraction), raises
+    OverflowError, so that no sign test downstream reads it as nonnegative.
+    """
+    if not np.isfinite(values).all():
+        raise OverflowError("a derivative value is not finite (inf or nan): past the float range")
     if not np.iscomplexobj(values):
         return values
     bad = np.abs(values.imag) > REAL_PROJECTION_TOL * (1.0 + np.abs(values))
@@ -222,7 +228,8 @@ def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray
     Phi(xs[i]), Phi'(xs[i]), ..., Phi^(max_order)(xs[i]); a row does not
     depend on the other abscissae of the call.  Requires a conjugate-closed
     frequency vector and finite abscissae; each value's imaginary residue is
-    checked against ``REAL_PROJECTION_TOL`` before projecting.
+    checked against ``REAL_PROJECTION_TOL`` before projecting, and a value
+    that is not finite raises OverflowError.
     """
     _require_conjugate_closed(ev)
     xs = _checked_abscissae(xs, max_order)
@@ -261,7 +268,8 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
 
     Raises ValueError for non-finite bounds, lo > hi, count < 1, a negative
     order, a vector that is not conjugate-closed, and abscissae beyond the
-    squaring guard; ArithmeticError for a material imaginary residue.
+    squaring guard; ArithmeticError for a material imaginary residue, and
+    OverflowError for a value that is not finite.
     """
     _require_conjugate_closed(ev)
     if max_order < 0:

@@ -128,29 +128,29 @@ def _step_target(x0: float, row0, x: float, row) -> float:
 
 
 def _refine_sign_change(probe: Callable[[float], Sequence[float]], lo: float, hi: float,
-                        row_lo, row_hi, xtol: float = BISECTION_XTOL) -> float:
+                        row_lo, row_hi) -> float:
     """Narrow [lo, hi] around the flip of the predicate f < 0 and return the bracket's midpoint.
 
     ``row_lo`` and ``row_hi`` are the rows at the ends, the predicate taking
     opposite states there; ``probe(x)`` returns the row at x.  The result is
-    the midpoint of a bracket no wider than ``xtol`` that still holds the
-    flip, or of two adjacent floats where their spacing exceeds ``xtol``.
+    the midpoint of a bracket no wider than ``BISECTION_XTOL`` that still
+    holds the flip, or of two adjacent floats where their spacing exceeds it.
 
     Steps follow ``_step_target`` from the last probe, the first one from the
     end of smaller |f| at no evaluation cost.  As in ``rtsafe`` (Numerical
     Recipes, section 9.4), a target outside the bracket, or a step longer
     than half the step before the last, is replaced by bisection.
-    Targets are clamped to a margin of xtol/2 (at least one float spacing)
-    inside the bracket.  So a target on an end is kept, and a converged
+    Targets are clamped to a margin of BISECTION_XTOL/2 (at least one float
+    spacing) inside the bracket.  So a target on an end is kept, and a converged
     target, within the margin of the last probe, is probed one margin from
     that end, just beyond the target, which closes the bracket when the
     target was right.
     """
     lo_negative = row_lo[0] < 0.0
     (x0, row0), (x, row) = sorted(((lo, row_lo), (hi, row_hi)), key=lambda end: -abs(end[1][0]))
-    margin = max(0.5 * xtol, math.ulp(max(abs(lo), abs(hi))))
+    margin = max(0.5 * BISECTION_XTOL, math.ulp(max(abs(lo), abs(hi))))
     older = last = hi - lo
-    while hi - lo > xtol:
+    while hi - lo > BISECTION_XTOL:
         t = _step_target(x0, row0, x, row)
         step = abs(t - x)
         if not (lo <= t <= hi and step <= 0.5 * older):
@@ -229,13 +229,14 @@ def _weighted_basis_sum(ev: FundamentalEvaluator, poly: PolynomialCoeffs, x: flo
     return float(total)
 
 
-#: Gauss-Legendre orders of the convolution integral in ``identity_residual``.
+#: Gauss-Legendre orders of the convolution integral in ``identity_residual``,
+#: and the agreement its successive rules must reach.
 _IDENTITY_START_ORDER = 16
 _IDENTITY_MAX_ORDER = 4096
+_IDENTITY_TOL = 1e-11
 
 
-def identity_residual(ev: FundamentalEvaluator, poly, x: float,
-                      quad_tol: float = 1e-11) -> float:
+def identity_residual(ev: FundamentalEvaluator, poly, x: float) -> float:
     """Defect of the convolution identity linking basis sums to an integral.
 
     For R of degree at most n, the weighted basis sum
@@ -243,7 +244,7 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float,
     integral of R against Phi^(n+1) over [0, x]; the returned value is the
     absolute difference of the two sides.  The integral is computed by
     Gauss-Legendre rules whose order doubles from 16 until two successive
-    results agree to ``quad_tol * (1 + |integral|)``; RuntimeError is raised
+    results agree to ``1e-11 * (1 + |integral|)``; RuntimeError is raised
     when they still differ at 4096 nodes.  Negative x integrates with the
     orientation convention int_0^x = -int_x^0.
     """
@@ -255,7 +256,7 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float,
     else:
         integral = float(gauss_legendre(
             lambda ts, ws: ws @ (poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1]),
-            0.0, x, _IDENTITY_START_ORDER, _IDENTITY_MAX_ORDER, quad_tol,
+            0.0, x, _IDENTITY_START_ORDER, _IDENTITY_MAX_ORDER, _IDENTITY_TOL,
         ))
     return abs(lhs - poly(x) - integral)
 
@@ -317,7 +318,7 @@ def _hankel_entries(rows: np.ndarray, k: int) -> np.ndarray:
     return factorials[j] * rows[:, top - j]
 
 
-def cholesky_factor(h, tol: float = 0.0) -> Optional[np.ndarray]:
+def cholesky_factor(h, tol: float) -> Optional[np.ndarray]:
     """Lower unpivoted Cholesky factor of a symmetric matrix, or None.
 
     Returns None as soon as a pivot (the diagonal entry before its square
@@ -341,11 +342,11 @@ def is_positive_definite(h, tol: float = 0.0) -> bool:
     return cholesky_factor(h, tol) is not None
 
 
-def polynomial_nonnegative_on(poly, lo: float, hi: float, tol: float = 1e-12) -> bool:
+def polynomial_nonnegative_on(poly, lo: float, hi: float) -> bool:
     """Sampled nonnegativity of a polynomial on [lo, hi].
 
     Checks 1024 Chebyshev points, both endpoints, and the real critical
-    points inside the interval, each against -tol.  Callers who construct
+    points inside the interval, each against -1e-12.  Callers who construct
     their polynomial as a square can skip this and assert nonnegativity
     themselves.
     """
@@ -357,7 +358,7 @@ def polynomial_nonnegative_on(poly, lo: float, hi: float, tol: float = 1e-12) ->
         for root in np.roots(deriv[::-1]):
             if abs(root.imag) < 1e-9 and lo < root.real < hi:
                 xs.append(float(root.real))
-    return all(poly(float(x)) >= -tol for x in xs)
+    return all(poly(float(x)) >= -1e-12 for x in xs)
 
 
 def turan_ratio(ev: FundamentalEvaluator, x: float) -> float:

@@ -119,14 +119,14 @@ _GL_MAX_ORDER = 8192
 _GL_STABILITY_TOL = 1e-11
 
 
-def transform(ev: FundamentalEvaluator, mu: Measure, grid: int = 512) -> MomentSequence:
+def transform(ev: FundamentalEvaluator, mu: Measure) -> MomentSequence:
     """Integrate the shifted basis functions against mu.
 
     s_k = integral of b_k(x - a) d mu(x) over the support [a, b].  Atomic
     measures are summed exactly; densities use Gauss-Legendre quadrature with
     the order doubled from 64 until two refinements agree to 1e-11.  The sign
-    hypothesis is checked on [0, b - a] by sampling; a failure only warns and
-    is recorded on the returned sequence.
+    hypothesis is checked on [0, b - a] by sampling 512 points; a failure
+    only warns and is recorded on the returned sequence.
     """
     if not ev.realify:
         raise ValueError("moment transform requires a real-valued fundamental solution")
@@ -135,7 +135,7 @@ def transform(ev: FundamentalEvaluator, mu: Measure, grid: int = 512) -> MomentS
 
     certified = True
     if length > 0.0:
-        report = verify_sign(ev, ev.n + 1, 0.0, length, grid=max(64, grid))
+        report = verify_sign(ev, ev.n + 1, 0.0, length, grid=512)
         certified = report.status == "nonnegative"
         if not certified:
             warnings.warn(
@@ -270,15 +270,20 @@ def _gauss_from_moments(seq: np.ndarray, tol: float):
 #: Atoms may overshoot the support by at most this much before recovery fails.
 _SUPPORT_SLACK = 1e-8
 
+#: Relative Cholesky pivot tolerance of the Gauss rules built by recovery.
+_PIVOT_TOL = 1e-12
 
-def recover_measure(s: MomentSequence, tol: Optional[float] = None) -> Measure:
+
+def recover_measure(s: MomentSequence) -> Measure:
     """Atomic representative with the sequence as its shifted power moments.
 
     Even-length data (odd n) use the plain Gauss rule of the sequence;
     odd-length data (even n) use the Gauss rule of the once-shifted sequence
     plus an atom at the left endpoint, so that every available moment is
-    reproduced.  Atoms must land inside the support (within 1e-8); the
-    reproduced moments are verified to 1e-8 * (1 + |s_k|) before returning.
+    reproduced.  Each Hankel block's Cholesky pivots must exceed
+    1e-12 * max(1, largest diagonal entry); a block that fails is truncated.
+    Atoms must land inside the support (within 1e-8); the reproduced moments
+    are verified to 1e-8 * (1 + |s_k|) before returning.
     """
     report = hausdorff_check(s)
     if not report.passed:
@@ -291,10 +296,9 @@ def recover_measure(s: MomentSequence, tol: Optional[float] = None) -> Measure:
     n = s.n
     b = s.support_length
     a = s.origin
-    pivot_tol = tol if tol is not None else 1e-12
 
     if n % 2 == 1:
-        nodes, weights = _gauss_from_moments(v, pivot_tol)
+        nodes, weights = _gauss_from_moments(v, _PIVOT_TOL)
         matched = 2 * len(nodes)
         if len(nodes) == 0:
             # Zero sequence: the zero measure, represented by a weightless atom.
@@ -306,7 +310,7 @@ def recover_measure(s: MomentSequence, tol: Optional[float] = None) -> Measure:
             nodes, weights = np.array([0.0]), np.array([v[0]])
             matched = n + 1
         else:
-            nodes, weights = _gauss_from_moments(v[1:], pivot_tol)
+            nodes, weights = _gauss_from_moments(v[1:], _PIVOT_TOL)
             if len(nodes) and nodes.min() <= _SUPPORT_SLACK:
                 raise ArithmeticError(
                     "shifted Gauss node collapsed onto the left endpoint; "

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import expfun
@@ -92,23 +93,6 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--config", cfg, "--assert", "--format", "json"])
         assert code == 0
         assert json.loads(out)["status"] == "nonnegative"
-
-    def test_grid_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EXPFUN_GRID", "128")
-        cfg = write_config(tmp_path, {
-            "frequencies": [-1, -2], "m": 2, "interval": [0, 3],
-        })
-        _, out, _ = run(capsys, ["verify", "--config", cfg, "--format", "json"])
-        assert json.loads(out)["samples"] == 128
-
-    def test_bad_grid_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EXPFUN_GRID", "banana")
-        cfg = write_config(tmp_path, {
-            "frequencies": [-1, -2], "m": 2, "interval": [0, 3],
-        })
-        code, _, err = run(capsys, ["verify", "--config", cfg])
-        assert code == 2
-        assert "EXPFUN_GRID" in err
 
 
 class TestHankel:
@@ -325,6 +309,17 @@ class TestHarness:
         })
         code, _, err = run(capsys, ["eval", "--config", cfg])
         assert code == 3 and "numerical failure" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_values_exit_code(self, tmp_path, capsys, fmt):
+        # Values past the float range are a numerical failure, never printed as nan.
+        cfg = write_config(tmp_path, {
+            "frequencies": [0, 1000], "interval": [0.70, 0.712], "samples": 5,
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, ["eval", "--config", cfg, "--format", fmt])
+        assert code == 3 and "numerical failure" in err
+        assert out == ""
 
     def test_non_finite_abscissa_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

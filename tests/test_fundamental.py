@@ -242,6 +242,12 @@ class TestGuards:
         with pytest.raises(ValueError):
             eval_derivative(ev, -1, 0.0)
 
+    def test_non_finite_value_refused(self):
+        # e^712 overflows the last column; the contraction's 0 * inf made the value NaN.
+        ev = build_evaluator([0, 1000])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+            eval_derivative(ev, 0, 0.712)
+
 
 def twelve_frequency_vectors():
     real = list(np.linspace(-3.0, 3.0, 12))

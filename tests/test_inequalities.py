@@ -60,6 +60,12 @@ class TestVerifySign:
         assert rep.witness == 0.0
         assert rep.boundary == pytest.approx(LOG2_TWICE, abs=1e-9)
 
+    def test_non_finite_samples_refused(self):
+        # NaN < -tol is false, so a NaN sample would otherwise count as nonnegative.
+        ev = build_evaluator([0, 1000])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+            verify_sign(ev, 0, 0.70, 0.712, grid=64)
+
     def test_identically_zero_derivative_is_nonnegative(self):
         ev = build_evaluator([0, 0, 0])
         rep = verify_sign(ev, 3, 0.0, 5.0)
