@@ -404,7 +404,9 @@ def main(argv=None) -> int:
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
         output = _KEYS["output"](config.pop("output", {}))
-        payload, violated = _arguments(_COMMANDS[args.command], config)
+        # Overflow surfaces as the library's OverflowError; numpy's warning would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload, violated = _arguments(_COMMANDS[args.command], config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"expfun: config error: {exc}", file=sys.stderr)
         return 2

@@ -18,10 +18,10 @@ bounded chunks and runs in real arithmetic when every frequency is real:
   ``eval_derivative_complex`` runs the same kernel without the real
   projection.
 * ``derivative_grid`` takes a uniform grid ``linspace(lo, hi, count)`` and
-  writes every point as the product of two exponentials, an anchor and an
-  offset, so about 2 sqrt(count) exponentials serve the whole grid.  Sign
-  scans (``verify_sign``) and the CLI ``eval``, ``hankel`` and ``turan``
-  tables use it.
+  writes every point as the product of three exponentials, an anchor, a
+  coarse and a fine offset, so about 3 cbrt(count) exponentials serve the
+  whole grid.  Sign scans (``verify_sign``) and the CLI ``eval``, ``hankel``
+  and ``turan`` tables use it.
 
 Both read the orders off the last column c of each exponential as
 (e_0 Z**j) . c: the rows e_0 Z**j come from a bidiagonal recurrence once per
@@ -185,13 +185,19 @@ def _orders(diag: np.ndarray, col: np.ndarray, max_order: int) -> np.ndarray:
     ``optimize`` sums each output entry in the same order whatever the number
     of columns, so a row does not depend on its companions; a BLAS product
     (``col @ rows.T``) rounds a single column differently from a batch.
+
+    An inf, or a NaN made from one (0 * inf in the contraction), raises
+    OverflowError, so that no sign test downstream reads it as nonnegative.
     """
     rows = np.zeros((max_order + 1, len(diag)), dtype=diag.dtype)
     rows[0, 0] = 1.0
     for j in range(1, max_order + 1):
         rows[j] = diag * rows[j - 1]
         rows[j, 1:] += rows[j - 1, :-1]
-    return np.einsum("pi,ji->pj", col, rows)
+    values = np.einsum("pi,ji->pj", col, rows)
+    if not np.isfinite(values).all():
+        raise OverflowError("a derivative value is not finite (inf or nan): past the float range")
+    return values
 
 
 def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
@@ -202,13 +208,7 @@ def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
 
 
 def _project(values: np.ndarray) -> np.ndarray:
-    """Real part of values after checking every imaginary residue.
-
-    An inf, or a NaN made from one (0 * inf in the contraction), raises
-    OverflowError, so that no sign test downstream reads it as nonnegative.
-    """
-    if not np.isfinite(values).all():
-        raise OverflowError("a derivative value is not finite (inf or nan): past the float range")
+    """Real part of values after checking every imaginary residue."""
     if not np.iscomplexobj(values):
         return values
     bad = np.abs(values.imag) > REAL_PROJECTION_TOL * (1.0 + np.abs(values))
@@ -244,27 +244,33 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     """Derivatives 0..max_order on the uniform grid ``np.linspace(lo, hi, count)``.
 
     Returns, up to rounding, what ``derivative_table(ev, np.linspace(lo, hi,
-    count), max_order)`` returns, from about 2 sqrt(count) matrix
-    exponentials instead of count.  A grid with lo == hi or count == 1 is one
-    abscissa, evaluated once and repeated.  Otherwise the grid is split at 0
-    and each side is cut, outward from 0, into blocks of ceil(sqrt(side
-    count)) points.  A point is its block's anchor (the block point nearest
-    0, a ``linspace`` abscissa) plus an offset k*h of that side's sign, with
-    h the grid step and 0 <= k < block size, so that
-    expm(x*Z) = expm(k*h*Z) @ expm(anchor*Z).  Only the anchors and the
-    offsets go through the Pade kernel; each row is one product of two
-    factors, never a longer chain, so nothing drifts along the grid.  Working
-    memory is a few arrays of count x (n+1) entries, never count matrices.
+    count), max_order)`` returns, from about 3 cbrt(count) matrix
+    exponentials instead of count: 46 for 4096 points on one side of 0.  A
+    grid with lo == hi or count == 1 is one abscissa, evaluated once and
+    repeated.  Otherwise the grid is split at 0 and each side is cut, outward
+    from 0, into blocks of s**2 points, s = ceil(cbrt(side count)).  With h
+    the grid step, signed like the side, point q*s + r of a block
+    (0 <= q, r < s) is the block's anchor (the block point nearest 0, a
+    ``linspace`` abscissa) plus (q*s + r)*h, so that
+    expm(x*Z) = expm(r*h*Z) @ expm(q*s*h*Z) @ expm(anchor*Z).  Only the
+    anchors, the s - 1 fine offsets r*h and the s - 1 coarse offsets q*s*h go
+    through the Pade kernel.  One stacked product of fine and coarse factors
+    forms the s**2 offset matrices (the factor for q = 0 or r = 0 is the
+    identity, so that product is exact), and each row is one offset applied to
+    its anchor's last column: a chain of at most three factors, so nothing
+    drifts along the grid.  Working memory is a few arrays of
+    count x (n+1) entries and the s**2 offset matrices, never count matrices.
 
-    Error structure: neither factor has a larger |abscissa|, hence no more
+    Error structure: no factor has a larger |abscissa|, hence no more
     squarings, than its point.  For real frequencies expm(t*Z) has entries of
-    the sign of t**(j-i), and the two factors share the sign of t, so the
+    the sign of t**(j-i), and the three factors share the sign of t, so every
     product sums terms of one sign and keeps the relative accuracy of a
     single exponential, also at the n-fold zero at the origin.  Conjugate
     pairs carry no such sign structure; their rows match ``derivative_table``
     to rounding relative to the size of the factors.  Row i is computed at
-    anchor + k*h, which agrees with ``linspace``'s abscissa to a few ulps of
-    max(|lo|, |hi|); it is exact at the anchors.
+    anchor + r*h + q*s*h, each offset rounded once, which agrees with
+    ``linspace``'s abscissa to a few ulps of max(|lo|, |hi|); it is exact at
+    the anchors.
 
     Raises ValueError for non-finite bounds, lo > hi, count < 1, a negative
     order, a vector that is not conjugate-closed, and abscissae beyond the
@@ -287,24 +293,32 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     _squarings(ev, xs)  # the 2**60 guard, on every abscissa and not only on the factors
     step = (hi - lo) / (count - 1)
     split = int(np.searchsorted(xs, 0.0))
-    # Each side: grid indices outward from 0, signed step, block size; no block crosses 0.
-    sides = [(side, h, math.isqrt(len(side) - 1) + 1)
-             for side, h in ((np.arange(split - 1, -1, -1), -step), (np.arange(split, count), step))
-             if len(side)]
-    ts = np.concatenate([np.concatenate([xs[side[::size]], h * np.arange(1, size)])
-                         for side, h, size in sides])
+    # Each side: grid indices outward from 0, and the abscissae of its anchors, fine and
+    # coarse offsets.  A coarse offset past the side's last point is left out (only a
+    # 2-point side has one), so no factor lies farther from 0 than the points it serves.
+    sides = []
+    for side, h in ((np.arange(split - 1, -1, -1), -step), (np.arange(split, count), step)):
+        if len(side):
+            s = round(len(side) ** (1 / 3))
+            s += s ** 3 < len(side)
+            sides.append((side, (xs[side[::s * s]], h * np.arange(1, s),
+                                 h * np.arange(s, min(s * s, len(side)), s))))
+    ts = np.concatenate([t for _, factors in sides for t in factors])
     dim = len(ev.diagonal)
     mats = np.empty((len(ts), dim, dim), dtype=ev.diagonal.dtype)
     for rows, r in _exponentials(ev, ts):
         mats[rows] = r
+    ident = np.eye(dim, dtype=mats.dtype)[None]
     out = np.empty((count, max_order + 1))
-    for side, _, size in sides:
-        anchors = -(-len(side) // size)
-        anchor_cols = mats[:anchors, :, -1]
-        offsets = mats[anchors:anchors + size - 1]
-        mats = mats[anchors + size - 1:]
-        # Point b*size + k of the side: expm(k*h*Z) @ expm(anchor_b*Z)[:, -1], the anchor at k = 0.
-        cols = np.empty((anchors, size, dim), dtype=mats.dtype)
+    parts = np.split(mats, np.cumsum([len(t) for _, factors in sides for t in factors]))
+    for i, (side, _) in enumerate(sides):
+        anchors, fine, coarse = parts[3 * i:3 * i + 3]
+        # offsets[q*s + r - 1] = expm(r*h*Z) @ expm(q*s*h*Z), leaving out the identity q = r = 0.
+        offsets = np.concatenate([ident, fine]) @ np.concatenate([ident, coarse])[:, None]
+        offsets = offsets.reshape(-1, dim, dim)[1:]
+        # Point b*block + k of the side: offset k applied to anchor b's column; k = 0 is the anchor.
+        anchor_cols = anchors[:, :, -1]
+        cols = np.empty((len(anchors), len(offsets) + 1, dim), dtype=mats.dtype)
         cols[:, 0] = anchor_cols
         np.matmul(offsets, anchor_cols.T, out=cols[:, 1:].transpose(1, 2, 0))
         out[side] = _project(_orders(ev.diagonal, cols.reshape(-1, dim)[:len(side)], max_order))
@@ -312,7 +326,10 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
 
 
 def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> complex:
-    """m-th derivative of the fundamental solution at x, complex output."""
+    """m-th derivative of the fundamental solution at x, complex output.
+
+    A value that is not finite raises OverflowError, as in ``eval_derivative``.
+    """
     _, mats = next(_exponentials(ev, _checked_abscissae([x], m)))
     return complex(_orders(ev.diagonal, mats[:, :, -1], m)[0, m])
 

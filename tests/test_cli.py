@@ -321,6 +321,21 @@ class TestHarness:
         assert code == 3 and "numerical failure" in err
         assert out == ""
 
+    def test_overflow_prints_one_line(self, tmp_path):
+        # A fresh interpreter with default warning filters: numpy's overflow
+        # warning must not reach stderr ahead of the refusal.
+        cfg = write_config(tmp_path, {
+            "frequencies": [0, 1000], "interval": [0.70, 0.712], "samples": 5,
+        })
+        src = str(Path(expfun.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "expfun.cli", "eval", "--config", cfg],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr == ("expfun: numerical failure: a derivative value is not finite "
+                               "(inf or nan): past the float range\n")
+
     def test_non_finite_abscissa_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "frequencies": [-1, -2], "interval": [math.nan, 1.0], "samples": 3,

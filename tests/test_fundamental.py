@@ -248,6 +248,13 @@ class TestGuards:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
             eval_derivative(ev, 0, 0.712)
 
+    def test_non_finite_complex_value_refused(self):
+        # The complex variant reads the same contraction and refuses the same NaN.
+        ev = build_evaluator([0, 1000])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OverflowError, match="not finite"):
+            eval_derivative_complex(ev, 0, 0.712)
+
 
 def twelve_frequency_vectors():
     real = list(np.linspace(-3.0, 3.0, 12))
@@ -389,10 +396,11 @@ class TestDerivativeGrid:
                     assert np.all(np.abs(grid - table) <= 1e-12 * scale), (entries, lo, hi, count)
 
     def test_orders_act_on_the_finished_product(self):
-        # -7 is the offset -6.5 applied to the anchor -0.5.  Z**j must act on the
-        # product column; moving it onto the anchor column or the offset's first
-        # row costs about four digits on conjugate pairs (about 1e-11 of each
-        # order's largest value, where this association gives 5e-15).
+        # -7 is the offset -6.5 applied to the anchor -0.5.  Against 50-digit
+        # mpmath, as a share of each order's largest value: Z**j acting on the
+        # product column gives 4.3e-15, acting on the offset's first row,
+        # (e_0 Z**j offset) @ anchor column, 5.2e-15, but acting on the anchor
+        # column before the offset 6.7e-12, about three digits lost.
         pairs = twelve_frequency_vectors()[1]
         grid = derivative_grid(build_evaluator(pairs), -7.0, -0.5, 2, 12)
         assert_matches_mpmath(pairs, grid, [-7.0, -0.5], 1e-13)
@@ -421,8 +429,7 @@ class TestDerivativeGrid:
             derivative_grid(ev, 0.0, 1.0, 8, -1)
         with pytest.raises(ValueError, match="not conjugate-closed; use eval_derivative_complex"):
             derivative_grid(build_evaluator([1j, 0]), 0.0, 1.0, 8, 0)
-        # The endpoints +-2e17 lie past the guard but are offset points: their
-        # anchors +-1.5e17 and the offsets up to 1e17 stay within 2**60.
+        # The endpoints +-2e17 lie past the guard.
         wide = build_evaluator([40.0, -40.0])
         for lo, hi in ((0.0, 2e17), (-2e17, 0.0)):
             with pytest.raises(ValueError, match="2\\*\\*60 guard"):
@@ -432,3 +439,49 @@ class TestDerivativeGrid:
         monkeypatch.setattr(fundamental, "REAL_PROJECTION_TOL", 0.0)
         with pytest.raises(ArithmeticError, match="material imaginary part"):
             derivative_grid(pair, 0.3, 5.0, 50, 2)
+
+    def test_guard_covers_offset_points(self):
+        # Four points on one side make one block: the anchor 0 and the offsets
+        # 6.7e16 and 1.3e17 stay within 2**60, the endpoint 2e17 does not.
+        wide = build_evaluator([40.0, -40.0])
+        for lo, hi in ((0.0, 2e17), (-2e17, 0.0)):
+            with pytest.raises(ValueError, match="2\\*\\*60 guard"):
+                derivative_grid(wide, lo, hi, 4, 0)
+
+    def test_exponential_count(self, monkeypatch):
+        # Per side of 0, s = ceil(cbrt(side length)): an anchor every s*s points,
+        # s - 1 fine and s - 1 coarse offsets.  4096 points on one side take
+        # 16 + 15 + 15 exponentials.
+        seen = []
+        exponentials = fundamental._exponentials
+
+        def counting(ev, xs):
+            seen.append(len(xs))
+            return exponentials(ev, xs)
+
+        monkeypatch.setattr(fundamental, "_exponentials", counting)
+        ev = build_evaluator([1.2, -1, 2.3, -2])
+        for lo, hi, count, expected in ((0.0, 5.0, 4096, 46), (-5.0, -0.5, 4096, 46),
+                                        (-0.16, 0.63, 4096, 70), (-1.0, 1.0, 4096, 74),
+                                        (0.0, 3.0, 512, 22)):
+            seen.clear()
+            derivative_grid(ev, lo, hi, count, 4)
+            assert sum(seen) == expected, (lo, hi, count, seen)
+
+    def test_matches_table_at_cube_boundaries(self):
+        # Side lengths at and just past s**3, and a side of 1 or 2 points (a
+        # 2-point side has no coarse offset) next to a long one.  The step a is
+        # a power of 2, so that linspace hits 0 exactly where it should.
+        vectors = ([-1.0, -2.0, 0.5, 1.5], twelve_frequency_vectors()[1], [-1, -1, -1, 2, 2])
+        a = 2.0 ** -9
+        for entries in vectors:
+            ev = build_evaluator(entries)
+            max_order = len(entries)
+            for count in (8, 9, 27, 28, 4097):
+                grids = [(0.5, 7.0), (-7.0, -0.5), (-a, a * (count - 2)), (-a * (count - 2), a),
+                         (-a * (count - 1.5), a / 2)]
+                for lo, hi in grids:
+                    grid = derivative_grid(ev, lo, hi, count, max_order)
+                    table = derivative_table(ev, np.linspace(lo, hi, count), max_order)
+                    scale = np.abs(table).max(axis=0)
+                    assert np.all(np.abs(grid - table) <= 1e-12 * scale), (entries, lo, hi, count)
