@@ -20,12 +20,16 @@ bounded chunks and runs in real arithmetic when every frequency is real:
 * ``derivative_grid`` takes a uniform grid ``linspace(lo, hi, count)`` and
   writes every point as the product of three exponentials, an anchor, a
   coarse and a fine offset, so about 3 cbrt(count) exponentials serve the
-  whole grid.  Sign scans (``verify_sign``) and the CLI ``eval``, ``hankel``
-  and ``turan`` tables use it.
+  whole grid, and three BLAS matrix products per side of 0 apply them.
+  Sign scans (``verify_sign``) and the CLI ``eval``, ``hankel`` and
+  ``turan`` tables use it.
 
 Both read the orders off the last column c of each exponential as
 (e_0 Z**j) . c: the rows e_0 Z**j come from a bidiagonal recurrence once per
 call, and one contraction applies them to every point's finished column.
+The table contracts with ``einsum``, so that a row does not depend on the
+other abscissae of the call; the grid makes no such promise and contracts
+with a BLAS product, several times faster.
 
 Two independent evaluation routes, a partial-fraction sum (distinct
 frequencies only) and a truncated power series, are provided for
@@ -175,29 +179,42 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray):
         yield rows, r
 
 
-def _orders(diag: np.ndarray, col: np.ndarray, max_order: int) -> np.ndarray:
-    """Derivatives 0..max_order from last columns of expm(x*Z), one row per column.
+def _order_rows(diag: np.ndarray, max_order: int) -> np.ndarray:
+    """Rows e_0 Z**j, j = 0..max_order, one per order.
 
-    The j-th derivative is (e_0 Z**j) . c for the last column c.  The rows
-    e_0 Z**j, j = 0..max_order, come once per call from the bidiagonal
-    recurrence on the row side, (r Z)[i] = r[i-1] + l_i r[i], and one
-    contraction applies them all to every column.  ``np.einsum`` without
-    ``optimize`` sums each output entry in the same order whatever the number
-    of columns, so a row does not depend on its companions; a BLAS product
-    (``col @ rows.T``) rounds a single column differently from a batch.
-
-    An inf, or a NaN made from one (0 * inf in the contraction), raises
-    OverflowError, so that no sign test downstream reads it as nonnegative.
+    The j-th derivative is (e_0 Z**j) . c for the last column c of
+    expm(x*Z).  The rows come from the bidiagonal recurrence on the row side,
+    (r Z)[i] = r[i-1] + l_i r[i], once per call.
     """
     rows = np.zeros((max_order + 1, len(diag)), dtype=diag.dtype)
     rows[0, 0] = 1.0
     for j in range(1, max_order + 1):
         rows[j] = diag * rows[j - 1]
         rows[j, 1:] += rows[j - 1, :-1]
-    values = np.einsum("pi,ji->pj", col, rows)
+    return rows
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, after refusing an inf or a NaN made from one (0 * inf in a contraction).
+
+    The refusal is an OverflowError, so that no sign test downstream reads a
+    NaN as nonnegative.
+    """
     if not np.isfinite(values).all():
         raise OverflowError("a derivative value is not finite (inf or nan): past the float range")
     return values
+
+
+def _orders(diag: np.ndarray, col: np.ndarray, max_order: int) -> np.ndarray:
+    """Derivatives 0..max_order from last columns of expm(x*Z), one row per column.
+
+    One contraction applies the rows of ``_order_rows`` to every column.
+    ``np.einsum`` without ``optimize`` sums each output entry in the same
+    order whatever the number of columns, so a row does not depend on its
+    companions; a BLAS product (``col @ rows.T``) rounds a single column
+    differently from a batch.  Values that are not finite are refused.
+    """
+    return _finite(np.einsum("pi,ji->pj", col, _order_rows(diag, max_order)))
 
 
 def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
@@ -239,6 +256,17 @@ def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray
     return out
 
 
+def _side_by_side(factors: np.ndarray) -> np.ndarray:
+    """[I | F_1^T | F_2^T | ...] for stacked (n+1) x (n+1) factors F_k.
+
+    A row vector c^T times it is [c^T, (F_1 c)^T, (F_2 c)^T, ...]: one BLAS
+    product applies every factor, and the identity, to many columns at once.
+    """
+    dim = factors.shape[-1]
+    ident = np.eye(dim, dtype=factors.dtype)[None]
+    return np.concatenate([ident, factors]).transpose(2, 0, 1).reshape(dim, -1)
+
+
 def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
                     max_order: int) -> np.ndarray:
     """Derivatives 0..max_order on the uniform grid ``np.linspace(lo, hi, count)``.
@@ -254,12 +282,18 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     ``linspace`` abscissa) plus (q*s + r)*h, so that
     expm(x*Z) = expm(r*h*Z) @ expm(q*s*h*Z) @ expm(anchor*Z).  Only the
     anchors, the s - 1 fine offsets r*h and the s - 1 coarse offsets q*s*h go
-    through the Pade kernel.  One stacked product of fine and coarse factors
-    forms the s**2 offset matrices (the factor for q = 0 or r = 0 is the
-    identity, so that product is exact), and each row is one offset applied to
-    its anchor's last column: a chain of at most three factors, so nothing
-    drifts along the grid.  Working memory is a few arrays of
-    count x (n+1) entries and the s**2 offset matrices, never count matrices.
+    through the Pade kernel.  Three matrix products per side then give every
+    point's orders: the coarse factors (identity first) applied to all anchor
+    last columns give the columns at the points anchor + q*s*h, which are
+    true columns at grid points; the fine factors (identity first) applied to
+    those give the columns at every point; and the rows e_0 Z**j applied to
+    those give the orders.  Each product is one BLAS call on the side's
+    stacked factors, a chain has at most three factors, and nothing drifts
+    along the grid.  Working memory is the count x (n+1) columns and the
+    count x (max_order+1) values, never count matrices nor the s**2 offset
+    matrices.  Unlike ``derivative_table``, a row may depend on its
+    companions at rounding level, since a BLAS product may round a batch
+    differently from a single column.
 
     Error structure: no factor has a larger |abscissa|, hence no more
     squarings, than its point.  For real frequencies expm(t*Z) has entries of
@@ -290,38 +324,40 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     if lo == hi or count == 1:
         # One abscissa, possibly repeated: a zero offset would only add rounding.
         return np.repeat(derivative_table(ev, xs[:1], max_order), count, axis=0)
-    _squarings(ev, xs)  # the 2**60 guard, on every abscissa and not only on the factors
+    # The 2**60 guard on every abscissa, not only on the factors: depth grows with |x|,
+    # so the two ends decide it.
+    _squarings(ev, xs[[0, -1]])
     step = (hi - lo) / (count - 1)
     split = int(np.searchsorted(xs, 0.0))
-    # Each side: grid indices outward from 0, and the abscissae of its anchors, fine and
-    # coarse offsets.  A coarse offset past the side's last point is left out (only a
-    # 2-point side has one), so no factor lies farther from 0 than the points it serves.
+    # Each side: the slice of grid indices outward from 0, its length, and the abscissae
+    # of its anchors, fine and coarse offsets.  A coarse offset past the side's last point
+    # is left out (only a 2-point side has one), so no factor lies farther from 0 than
+    # the points it serves.
     sides = []
-    for side, h in ((np.arange(split - 1, -1, -1), -step), (np.arange(split, count), step)):
-        if len(side):
-            s = round(len(side) ** (1 / 3))
-            s += s ** 3 < len(side)
-            sides.append((side, (xs[side[::s * s]], h * np.arange(1, s),
-                                 h * np.arange(s, min(s * s, len(side)), s))))
-    ts = np.concatenate([t for _, factors in sides for t in factors])
+    for side, length, h in ((slice(split - 1, None, -1), split, -step),
+                            (slice(split, None), count - split, step)):
+        if length:
+            s = round(length ** (1 / 3))
+            s += s ** 3 < length
+            sides.append((side, length, (xs[side][::s * s], h * np.arange(1, s),
+                                         h * np.arange(s, min(s * s, length), s))))
+    ts = np.concatenate([t for *_, factors in sides for t in factors])
     dim = len(ev.diagonal)
     mats = np.empty((len(ts), dim, dim), dtype=ev.diagonal.dtype)
     for rows, r in _exponentials(ev, ts):
         mats[rows] = r
-    ident = np.eye(dim, dtype=mats.dtype)[None]
+    rows_t = _order_rows(ev.diagonal, max_order).T
     out = np.empty((count, max_order + 1))
-    parts = np.split(mats, np.cumsum([len(t) for _, factors in sides for t in factors]))
-    for i, (side, _) in enumerate(sides):
+    parts = np.split(mats, np.cumsum([len(t) for *_, factors in sides for t in factors]))
+    for i, (side, length, _) in enumerate(sides):
         anchors, fine, coarse = parts[3 * i:3 * i + 3]
-        # offsets[q*s + r - 1] = expm(r*h*Z) @ expm(q*s*h*Z), leaving out the identity q = r = 0.
-        offsets = np.concatenate([ident, fine]) @ np.concatenate([ident, coarse])[:, None]
-        offsets = offsets.reshape(-1, dim, dim)[1:]
-        # Point b*block + k of the side: offset k applied to anchor b's column; k = 0 is the anchor.
-        anchor_cols = anchors[:, :, -1]
-        cols = np.empty((len(anchors), len(offsets) + 1, dim), dtype=mats.dtype)
-        cols[:, 0] = anchor_cols
-        np.matmul(offsets, anchor_cols.T, out=cols[:, 1:].transpose(1, 2, 0))
-        out[side] = _project(_orders(ev.diagonal, cols.reshape(-1, dim)[:len(side)], max_order))
+        # Columns as rows, so that every reshape keeps memory order: anchor b times coarse
+        # factor q is row b*s + q, and that times fine factor r is row b*s**2 + q*s + r,
+        # the point's index on the side.
+        cols = anchors[:, :, -1] @ _side_by_side(coarse)
+        cols = cols.reshape(-1, dim) @ _side_by_side(fine)
+        values = _finite(cols.reshape(-1, dim)[:length] @ rows_t)
+        out[side] = _project(values)
     return out
 
 

@@ -255,6 +255,17 @@ class TestGuards:
                 pytest.raises(OverflowError, match="not finite"):
             eval_derivative_complex(ev, 0, 0.712)
 
+    @pytest.mark.parametrize("count", [5, 64])
+    def test_non_finite_grid_value_refused(self, count):
+        # The grid's contraction is a BLAS product; it too must turn 0 * inf into
+        # NaN and refuse it.  With 5 points the overflowing endpoint 0.712 is an
+        # anchor; with 64 points (blocks of 16) the points past x = 0.70978, where
+        # e^(1000 x) overflows, are offset points of the anchor 0.70914.
+        ev = build_evaluator([0, 1000])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OverflowError, match="not finite"):
+            derivative_grid(ev, 0.70, 0.712, count, 0)
+
 
 def twelve_frequency_vectors():
     real = list(np.linspace(-3.0, 3.0, 12))
@@ -394,6 +405,19 @@ class TestDerivativeGrid:
                     assert grid.shape == table.shape and grid.dtype == np.float64
                     scale = np.abs(table).max(axis=0)
                     assert np.all(np.abs(grid - table) <= 1e-12 * scale), (entries, lo, hi, count)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_lowest_and_highest_orders(self, which):
+        # Order 0 contracts with the single row e_0; past n the rows e_0 Z**j are full.
+        entries = twelve_frequency_vectors()[which]
+        ev = build_evaluator(entries)
+        for max_order in (0, 2 * (len(entries) - 1) + 2):
+            for count in (65, 4096):
+                grid = derivative_grid(ev, -2.5, 3.0, count, max_order)
+                table = derivative_table(ev, np.linspace(-2.5, 3.0, count), max_order)
+                assert grid.shape == table.shape
+                scale = np.abs(table).max(axis=0)
+                assert np.all(np.abs(grid - table) <= 1e-12 * scale), (which, max_order, count)
 
     def test_orders_act_on_the_finished_product(self):
         # -7 is the offset -6.5 applied to the anchor -0.5.  Against 50-digit
