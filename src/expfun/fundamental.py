@@ -9,11 +9,12 @@ frequencies on the diagonal and ones above it.  This representation needs no
 case analysis for repeated (confluent) frequencies.
 
 Two entry points tabulate the orders 0..m, both on one stacked Pade(13)
-scaling-and-squaring kernel that groups abscissae by scaling depth, works in
-bounded chunks and runs in real arithmetic when every frequency is real:
+scaling-and-squaring kernel that takes a batch of abscissae and runs in real
+arithmetic when every frequency is real:
 
 * ``derivative_table`` takes any abscissae and spends one exponential per
-  point.  Sign-change refinement, quadrature nodes and the single-point
+  point, passing them to the kernel in slices of bounded working memory.
+  Sign-change refinement, quadrature nodes and the single-point
   functions use it: ``eval_derivative`` and ``basis`` read one row of it, and
   ``eval_derivative_complex`` runs the same kernel without the real
   projection.
@@ -73,7 +74,7 @@ _PADE_13 = (
 #: Refuse matrix exponentials whose scaling step would exceed 2**60.
 _MAX_SQUARINGS = 60
 
-#: Matrix entries per stacked array in one chunk of the batched kernel; this
+#: Matrix entries per stacked array in one ``derivative_table`` slice; this
 #: bounds the kernel's working memory whatever the number of abscissae.
 _CHUNK_ENTRIES = 4096
 
@@ -85,14 +86,16 @@ class FundamentalEvaluator:
     ``diagonal`` holds the frequencies, the diagonal of the (n+1) x (n+1)
     upper bidiagonal matrix Z with ones on its superdiagonal; it is real
     when every frequency is real, and evaluation then runs in real
-    arithmetic.  ``norm`` is the spectral norm of Z, which fixes the scaling
-    depth at every abscissa.  ``realify`` records whether the frequency
-    vector is conjugate-closed, in which case values are projected onto the
-    reals after an imaginary-residue check.
+    arithmetic.  ``z`` is Z itself, read-only, of the same dtype.  ``norm``
+    is the spectral norm of Z, which fixes the scaling depth at every
+    abscissa.  ``realify`` records whether the frequency vector is
+    conjugate-closed, in which case values are projected onto the reals
+    after an imaginary-residue check.
     """
 
     freq: FrequencyVector
     diagonal: np.ndarray = field(repr=False, compare=False)
+    z: np.ndarray = field(repr=False, compare=False)
     norm: float
     realify: bool
 
@@ -109,7 +112,8 @@ def build_evaluator(freq) -> FundamentalEvaluator:
         diagonal = diagonal.real.copy()
     diagonal.setflags(write=False)
     z = np.diag(diagonal) + np.diag(np.ones(len(diagonal) - 1), 1)
-    return FundamentalEvaluator(freq=freq, diagonal=diagonal, norm=float(np.linalg.norm(z, 2)),
+    z.setflags(write=False)
+    return FundamentalEvaluator(freq=freq, diagonal=diagonal, z=z, norm=float(np.linalg.norm(z, 2)),
                                 realify=is_conjugate_closed(freq))
 
 
@@ -137,46 +141,39 @@ def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     return depth.astype(int)
 
 
-def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray):
-    """Yield (rows, mats) with mats[i] = expm(xs[rows[i]] * Z).
+def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
+    """expm(x*Z) for every abscissa x in the nonempty xs, stacked in the order of xs.
 
-    Abscissae are ordered by scaling depth and walked in chunks of about
-    ``_CHUNK_ENTRIES`` matrix entries.  In a chunk the Pade(13) kernel runs
-    as stacked matrix products and one stacked solve, and each squaring acts
-    on the part of the chunk that still needs it.  Matrices are complex
-    unless every frequency is real.  At x = 0 the kernel's solve of b0*I
-    against b0*I is off by an ulp, so those rows are set to the identity.
+    The Pade(13) kernel runs as stacked matrix products and one stacked
+    solve over all of xs, so callers bound its memory by the size of xs.
+    The abscissae are ordered by scaling depth, so that each squaring acts on
+    the tail of the stack that still needs it; one scatter restores the
+    order of xs.  Matrices are complex unless every frequency is real.  At
+    x = 0 the kernel's solve of b0*I against b0*I is off by an ulp, so those
+    matrices are set to the identity.
     """
-    diag = ev.diagonal
-    count = len(diag)
     squarings = _squarings(ev, xs)
     order = np.argsort(squarings, kind="stable")
-    step = max(1, _CHUNK_ENTRIES // (count * count))
-    idx = np.arange(count)
-    ident = np.eye(count, dtype=diag.dtype)
+    depth = squarings[order]
+    t = xs[order] / 2.0 ** depth
+    ident = np.eye(len(ev.z), dtype=ev.z.dtype)
     b = _PADE_13
-    has_zero = np.count_nonzero(xs) < len(xs)  # cheaper than xs.all() on one-point calls
-    for lo in range(0, len(xs), step):
-        rows = order[lo:lo + step]
-        depth = squarings[rows]
-        t = xs[rows] / 2.0 ** depth
-        a = np.zeros((len(rows), count, count), dtype=diag.dtype)
-        a[:, idx, idx] = t[:, None] * diag
-        a[:, idx[:-1], idx[1:]] = t[:, None]
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-        r = np.linalg.solve(v - u, v + u)
-        for level in range(depth[-1]):
-            tail = r[np.searchsorted(depth, level, side="right"):]
-            tail[...] = tail @ tail
-        if has_zero:
-            r[t == 0.0] = ident
-        yield rows, r
+    a = t[:, None, None] * ev.z
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for level in range(depth[-1]):
+        tail = r[np.searchsorted(depth, level, side="right"):]
+        tail[...] = tail @ tail
+    r[t == 0.0] = ident
+    mats = np.empty_like(r)
+    mats[order] = r
+    return mats
 
 
 def _order_rows(diag: np.ndarray, max_order: int) -> np.ndarray:
@@ -251,8 +248,10 @@ def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray
     _require_conjugate_closed(ev)
     xs = _checked_abscissae(xs, max_order)
     out = np.empty((len(xs), max_order + 1))
-    for rows, mats in _exponentials(ev, xs):
-        out[rows] = _project(_orders(ev.diagonal, mats[:, :, -1], max_order))
+    step = max(1, _CHUNK_ENTRIES // len(ev.z) ** 2)
+    for lo in range(0, len(xs), step):
+        mats = _exponentials(ev, xs[lo:lo + step])
+        out[lo:lo + step] = _project(_orders(ev.diagonal, mats[:, :, -1], max_order))
     return out
 
 
@@ -341,21 +340,21 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
             s += s ** 3 < length
             sides.append((side, length, (xs[side][::s * s], h * np.arange(1, s),
                                          h * np.arange(s, min(s * s, length), s))))
-    ts = np.concatenate([t for *_, factors in sides for t in factors])
-    dim = len(ev.diagonal)
-    mats = np.empty((len(ts), dim, dim), dtype=ev.diagonal.dtype)
-    for rows, r in _exponentials(ev, ts):
-        mats[rows] = r
+    ts = [t for *_, factors in sides for t in factors]
+    parts = np.split(_exponentials(ev, np.concatenate(ts)), np.cumsum([len(t) for t in ts]))
+    dim = len(ev.z)
     rows_t = _order_rows(ev.diagonal, max_order).T
     out = np.empty((count, max_order + 1))
-    parts = np.split(mats, np.cumsum([len(t) for *_, factors in sides for t in factors]))
     for i, (side, length, _) in enumerate(sides):
         anchors, fine, coarse = parts[3 * i:3 * i + 3]
         # Columns as rows, so that every reshape keeps memory order: anchor b times coarse
         # factor q is row b*s + q, and that times fine factor r is row b*s**2 + q*s + r,
-        # the point's index on the side.
-        cols = anchors[:, :, -1] @ _side_by_side(coarse)
-        cols = cols.reshape(-1, dim) @ _side_by_side(fine)
+        # the point's index on the side.  The last block runs up to s**2 - 1 points past
+        # the side's end, whose columns may overflow; they are dropped before the last
+        # product, and a kept column that overflowed is refused after it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = anchors[:, :, -1] @ _side_by_side(coarse)
+            cols = cols.reshape(-1, dim) @ _side_by_side(fine)
         values = _finite(cols.reshape(-1, dim)[:length] @ rows_t)
         out[side] = _project(values)
     return out
@@ -366,7 +365,7 @@ def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> compl
 
     A value that is not finite raises OverflowError, as in ``eval_derivative``.
     """
-    _, mats = next(_exponentials(ev, _checked_abscissae([x], m)))
+    mats = _exponentials(ev, _checked_abscissae([x], m))
     return complex(_orders(ev.diagonal, mats[:, :, -1], m)[0, m])
 
 

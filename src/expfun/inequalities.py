@@ -405,8 +405,13 @@ class MonotonicityCertificate:
     - SOME_NONNEG: a single nonnegative frequency (``nonnegative_index``)
       forces a positive first derivative.
     - NONE: every frequency is negative; the first derivative provably
-      vanishes somewhere on (0, oo), located at ``derivative_zero`` when the
-      search brackets it.
+      vanishes somewhere on (0, oo), located at ``derivative_zero`` when a
+      ``verify_sign`` scan of Phi' over [0, 1e4 / max(1, max|l|)] brackets
+      it, and None when the zero lies beyond that range.  The zero is
+      unique: with n+1 real frequencies counted with multiplicity, Phi' is an
+      exponential polynomial with at most n real zeros (Polya-Szego, Part V)
+      and n-1 of them sit at 0, so Phi' changes sign once on (0, oo) and the
+      scan's first negative sample lies just past that zero.
     """
 
     kind: CertificateKind
@@ -456,19 +461,8 @@ def _greedy_pair_chain(values: Sequence[float]) -> tuple:
 
 
 def _locate_derivative_zero(freq) -> Optional[float]:
-    # With every frequency negative the solution decays, so its derivative
-    # turns negative after an interior maximum; bracket and refine that flip.
-    ev = build_evaluator(freq)
     scale = max(1.0, max(abs(v) for v in freq.entries))
-    xs = np.geomspace(1e-3, 1e4, 400) / scale
-    rows = derivative_table(ev, xs, 3)[:, 1:]
-    pos = rows[:, 0] > 0.0
-    flips = np.flatnonzero(pos[:-1] & ~pos[1:])
-    if flips.size == 0:
-        return None
-    i = int(flips[0])
-    probe = lambda t: derivative_table(ev, [t], 3)[0, 1:]
-    return _refine_sign_change(probe, float(xs[i]), float(xs[i + 1]), rows[i], rows[i + 1])
+    return verify_sign(build_evaluator(freq), 1, 0.0, 1e4 / scale, tol=0.0).boundary
 
 
 def monotonicity_certificate(freq) -> MonotonicityCertificate:

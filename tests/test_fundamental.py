@@ -1,6 +1,7 @@
 """Evaluator correctness: initial data, closed forms, and oracle agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,15 @@ class TestGuards:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(OverflowError, match="not finite"):
             derivative_grid(ev, 0.70, 0.712, count, 0)
+
+    def test_overflowing_padding_does_not_warn(self):
+        # 65 points form blocks of 25: the last block's padding runs to 0.82,
+        # where e^(1000 x) overflows, while every kept value stays below 1.7e305.
+        ev = build_evaluator([0, 1000])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = derivative_grid(ev, 0.0, 0.7097, 65, 0)
+        assert np.isfinite(values).all()
 
 
 def twelve_frequency_vectors():

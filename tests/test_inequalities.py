@@ -172,8 +172,8 @@ class TestRefineSignChange:
         calls = count_tables(monkeypatch)
         cert = monotonicity_certificate([-1, -2])
         assert cert.derivative_zero == pytest.approx(math.log(2), abs=XTOL)
-        # One 400-row table brackets the zero; at most six one-row probes refine it.
-        assert calls[0] == 400 and calls[1:] == [1] * (len(calls) - 1) and len(calls) <= 7
+        # The grid scan brackets the zero; only one-row probes refine it, eight here.
+        assert calls == [1] * len(calls) and 1 <= len(calls) <= 8
 
 
 class TestIdentityResidual:
@@ -443,6 +443,27 @@ class TestMonotonicityCertificate:
         assert cert.derivative_zero == pytest.approx(math.log(2), abs=1e-9)
         ev = build_evaluator([-1, -2])
         assert abs(eval_derivative(ev, 1, cert.derivative_zero)) <= 1e-9
+
+    @pytest.mark.parametrize("a", [-1e-2, -1.0, -1e2])
+    @pytest.mark.parametrize("ratio", [1.001, 2.0, 1e3])
+    def test_two_frequency_zero_closed_form(self, a, ratio):
+        # Phi' = (a e^(ax) - b e^(bx)) / (a - b) vanishes at ln(b/a) / (a - b).
+        b = a * ratio
+        zero = math.log(b / a) / (a - b)
+        cert = monotonicity_certificate([a, b])
+        assert abs(cert.derivative_zero - zero) <= 1e-9 * max(1.0, zero)
+
+    @pytest.mark.parametrize("c", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_confluent_zero_closed_form(self, c, n):
+        # Phi = x**n e^(-cx) / n!, so Phi' vanishes at n/c.
+        cert = monotonicity_certificate([-c] * (n + 1))
+        assert abs(cert.derivative_zero - n / c) <= 1e-9 * max(1.0, n / c)
+
+    def test_zero_beyond_scan_range(self):
+        # The zero 1e6 ln 2 lies past the scanned [0, 1e4].
+        cert = monotonicity_certificate([-1e-6, -2e-6])
+        assert cert.kind is CertificateKind.NONE and cert.derivative_zero is None
 
     def test_pair_chain_with_one_round(self):
         cert = monotonicity_certificate([-1, 3, -2])
