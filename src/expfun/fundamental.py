@@ -10,7 +10,10 @@ case analysis for repeated (confluent) frequencies.
 
 Two entry points tabulate the orders 0..m, both on one stacked Pade(13)
 scaling-and-squaring kernel that takes a batch of abscissae and runs in real
-arithmetic when every frequency is real:
+arithmetic when every frequency is real.  The evaluator stores the powers
+(Z/||Z||_2)**k, k = 0..13, once, so that the kernel builds the Pade
+numerator and denominator of every abscissa from one product of its
+coefficients with those powers, before one stacked solve and the squarings:
 
 * ``derivative_table`` takes any abscissae and spends one exponential per
   point, passing them to the kernel in slices of bounded working memory.
@@ -21,16 +24,18 @@ arithmetic when every frequency is real:
 * ``derivative_grid`` takes a uniform grid ``linspace(lo, hi, count)`` and
   writes every point as the product of three exponentials, an anchor, a
   coarse and a fine offset, so about 3 cbrt(count) exponentials serve the
-  whole grid, and three BLAS matrix products per side of 0 apply them.
-  Sign scans (``verify_sign``) and the CLI ``eval``, ``hankel`` and
-  ``turan`` tables use it.
+  whole grid, and two BLAS matrix products per side of 0 apply them.  The
+  CLI ``eval``, ``hankel`` and ``turan`` tables use it; sign scans
+  (``verify_sign``) use the same grid for the three orders they read.
 
 Both read the orders off the last column c of each exponential as
-(e_0 Z**j) . c: the rows e_0 Z**j come from a bidiagonal recurrence once per
-call, and one contraction applies them to every point's finished column.
-The table contracts with ``einsum``, so that a row does not depend on the
-other abscissae of the call; the grid makes no such promise and contracts
-with a BLAS product, several times faster.
+(e_0 Z**j) . c, with the rows e_0 Z**j from a bidiagonal recurrence once per
+call.  The table applies them to every point's finished column with
+``einsum``, so that a row does not depend on the other abscissae of the
+call.  The grid makes no such promise: it folds the rows into its fine
+factors, e_0 Z**j expm(r*h*Z), and applies those with a BLAS product to
+the columns the coarse factors give, so it never forms one column per
+point.
 
 Two independent evaluation routes, a partial-fraction sum (distinct
 frequencies only) and a truncated power series, are provided for
@@ -64,12 +69,14 @@ REAL_PROJECTION_TOL = 1e-9
 #: Largest spectral-norm bound for which the Pade(13) kernel is used unscaled.
 _THETA_13 = 5.371920351148152
 
-_PADE_13 = (
+#: Coefficients of A**k, k = 0..13, in the Pade(13) approximant q(A)**-1 p(A)
+#: of exp(A): the numerator p in row 0, the denominator q(A) = p(-A) in row 1.
+_PADE_13 = np.array((
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
     1187353796428800.0, 129060195264000.0, 10559470521600.0,
     670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
     960960.0, 16380.0, 182.0, 1.0,
-)
+)) * np.array([[1.0], [-1.0]]) ** np.arange(14)
 
 #: Refuse matrix exponentials whose scaling step would exceed 2**60.
 _MAX_SQUARINGS = 60
@@ -87,15 +94,19 @@ class FundamentalEvaluator:
     upper bidiagonal matrix Z with ones on its superdiagonal; it is real
     when every frequency is real, and evaluation then runs in real
     arithmetic.  ``z`` is Z itself, read-only, of the same dtype.  ``norm``
-    is the spectral norm of Z, which fixes the scaling depth at every
-    abscissa.  ``realify`` records whether the frequency vector is
-    conjugate-closed, in which case values are projected onto the reals
-    after an imaginary-residue check.
+    is the spectral norm nu of Z, which fixes the scaling depth at every
+    abscissa.  ``powers`` is the read-only (14, (n+1)**2) stack of the
+    flattened powers (Z/nu)**k, k = 0..13, the basis in which the Pade(13)
+    kernel writes every matrix it needs; nu = 1 stands in when Z = 0, which
+    happens only for the single frequency 0.  ``realify`` records whether
+    the frequency vector is conjugate-closed, in which case values are
+    projected onto the reals after an imaginary-residue check.
     """
 
     freq: FrequencyVector
     diagonal: np.ndarray = field(repr=False, compare=False)
     z: np.ndarray = field(repr=False, compare=False)
+    powers: np.ndarray = field(repr=False, compare=False)
     norm: float
     realify: bool
 
@@ -113,7 +124,15 @@ def build_evaluator(freq) -> FundamentalEvaluator:
     diagonal.setflags(write=False)
     z = np.diag(diagonal) + np.diag(np.ones(len(diagonal) - 1), 1)
     z.setflags(write=False)
-    return FundamentalEvaluator(freq=freq, diagonal=diagonal, z=z, norm=float(np.linalg.norm(z, 2)),
+    norm = float(np.linalg.norm(z, 2))
+    unit = z / (norm or 1.0)
+    powers = np.empty((_PADE_13.shape[1],) + z.shape, dtype=z.dtype)
+    powers[0] = np.eye(len(z))
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] @ unit
+    powers = powers.reshape(len(powers), -1)
+    powers.setflags(write=False)
+    return FundamentalEvaluator(freq=freq, diagonal=diagonal, z=z, powers=powers, norm=norm,
                                 realify=is_conjugate_closed(freq))
 
 
@@ -144,29 +163,34 @@ def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
 def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     """expm(x*Z) for every abscissa x in the nonempty xs, stacked in the order of xs.
 
-    The Pade(13) kernel runs as stacked matrix products and one stacked
-    solve over all of xs, so callers bound its memory by the size of xs.
-    The abscissae are ordered by scaling depth, so that each squaring acts on
-    the tail of the stack that still needs it; one scatter restores the
-    order of xs.  Matrices are complex unless every frequency is real.  At
-    x = 0 the kernel's solve of b0*I against b0*I is off by an ulp, so those
-    matrices are set to the identity.
+    Each x is scaled to t = x / 2**depth, so that |t| nu <= theta_13 with nu
+    = ``ev.norm``, and the Pade(13) numerator and denominator are written in
+    the evaluator's power basis, p(t*Z) = sum_k b_k (t nu)**k (Z/nu)**k and
+    q(t*Z) = p(-t*Z): one product of the (2 len(xs), 14) coefficient array
+    with ``ev.powers`` builds both for every x, and one stacked solve gives
+    q**-1 p.  The product is stacked, one 1 x 14 by 14 x (n+1)**2 product
+    per matrix, because a single flat BLAS product rounds a row of a batch
+    differently from the same row alone, and ``derivative_table`` promises
+    that a row does not depend on the other abscissae of the call.
+
+    Memory grows with the size of xs, which callers bound.  The abscissae
+    are ordered by scaling depth, so that each squaring acts on the tail of
+    the stack that still needs it; one scatter restores the order of xs.
+    Matrices are complex unless every frequency is real.  At x = 0 the
+    solve of b0*I against b0*I is off by an ulp, so those matrices are set
+    to the identity.
     """
     squarings = _squarings(ev, xs)
     order = np.argsort(squarings, kind="stable")
     depth = squarings[order]
     t = xs[order] / 2.0 ** depth
-    ident = np.eye(len(ev.z), dtype=ev.z.dtype)
-    b = _PADE_13
-    a = t[:, None, None] * ev.z
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
+    dim = len(ev.z)
+    ident = np.eye(dim, dtype=ev.z.dtype)
+    terms = len(ev.powers)
+    scaled = np.vander(t * (ev.norm or 1.0), terms, increasing=True)
+    coeffs = (_PADE_13[:, None, :] * scaled).reshape(-1, 1, terms)
+    p, q = (coeffs @ ev.powers).reshape(2, len(xs), dim, dim)
+    r = np.linalg.solve(q, p)
     for level in range(depth[-1]):
         tail = r[np.searchsorted(depth, level, side="right"):]
         tail[...] = tail @ tail
@@ -202,16 +226,15 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _orders(diag: np.ndarray, col: np.ndarray, max_order: int) -> np.ndarray:
-    """Derivatives 0..max_order from last columns of expm(x*Z), one row per column.
+def _orders(col: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Derivatives from last columns of expm(x*Z): rows of ``_order_rows`` applied to each column.
 
-    One contraction applies the rows of ``_order_rows`` to every column.
     ``np.einsum`` without ``optimize`` sums each output entry in the same
     order whatever the number of columns, so a row does not depend on its
     companions; a BLAS product (``col @ rows.T``) rounds a single column
     differently from a batch.  Values that are not finite are refused.
     """
-    return _finite(np.einsum("pi,ji->pj", col, _order_rows(diag, max_order)))
+    return _finite(np.einsum("pi,ji->pj", col, rows))
 
 
 def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
@@ -247,11 +270,12 @@ def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray
     """
     _require_conjugate_closed(ev)
     xs = _checked_abscissae(xs, max_order)
+    rows = _order_rows(ev.diagonal, max_order)
     out = np.empty((len(xs), max_order + 1))
     step = max(1, _CHUNK_ENTRIES // len(ev.z) ** 2)
     for lo in range(0, len(xs), step):
         mats = _exponentials(ev, xs[lo:lo + step])
-        out[lo:lo + step] = _project(_orders(ev.diagonal, mats[:, :, -1], max_order))
+        out[lo:lo + step] = _project(_orders(mats[:, :, -1], rows))
     return out
 
 
@@ -281,15 +305,16 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     ``linspace`` abscissa) plus (q*s + r)*h, so that
     expm(x*Z) = expm(r*h*Z) @ expm(q*s*h*Z) @ expm(anchor*Z).  Only the
     anchors, the s - 1 fine offsets r*h and the s - 1 coarse offsets q*s*h go
-    through the Pade kernel.  Three matrix products per side then give every
-    point's orders: the coarse factors (identity first) applied to all anchor
-    last columns give the columns at the points anchor + q*s*h, which are
-    true columns at grid points; the fine factors (identity first) applied to
-    those give the columns at every point; and the rows e_0 Z**j applied to
-    those give the orders.  Each product is one BLAS call on the side's
-    stacked factors, a chain has at most three factors, and nothing drifts
-    along the grid.  Working memory is the count x (n+1) columns and the
-    count x (max_order+1) values, never count matrices nor the s**2 offset
+    through the Pade kernel.  The rows e_0 Z**j are folded into the fine
+    factors first, giving the small stack e_0 Z**j expm(r*h*Z).  Then two
+    matrix products per side give every point's orders: the coarse factors
+    (identity first) applied to all anchor last columns give the columns at
+    the points anchor + q*s*h, which are true columns at grid points, and
+    the folded rows applied to those give the orders at every point.  Each
+    product is one BLAS call on the side's stacked factors, a chain has at
+    most three factors, and nothing drifts along the grid.  Working memory
+    is the count x (max_order+1) values and the columns at one point in s,
+    never count matrices, the count x (n+1) columns nor the s**2 offset
     matrices.  Unlike ``derivative_table``, a row may depend on its
     companions at rounding level, since a BLAS product may round a batch
     differently from a single column.
@@ -298,21 +323,33 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     squarings, than its point.  For real frequencies expm(t*Z) has entries of
     the sign of t**(j-i), and the three factors share the sign of t, so every
     product sums terms of one sign and keeps the relative accuracy of a
-    single exponential, also at the n-fold zero at the origin.  Conjugate
-    pairs carry no such sign structure; their rows match ``derivative_table``
-    to rounding relative to the size of the factors.  Row i is computed at
-    anchor + r*h + q*s*h, each offset rounded once, which agrees with
-    ``linspace``'s abscissa to a few ulps of max(|lo|, |hi|); it is exact at
-    the anchors.
+    single exponential, also at the n-fold zero at the origin; folding the
+    rows into the fine factor first leaves the bound of the contraction
+    unchanged, since the fine factor's terms and the coarse column's carry
+    that sign pattern.  Conjugate pairs carry no such sign structure; their
+    rows match ``derivative_table`` to rounding relative to the size of the
+    factors.  Row i is computed at anchor + r*h + q*s*h, each offset rounded
+    once, which agrees with ``linspace``'s abscissa to a few ulps of
+    max(|lo|, |hi|); it is exact at the anchors.
 
     Raises ValueError for non-finite bounds, lo > hi, count < 1, a negative
     order, a vector that is not conjugate-closed, and abscissae beyond the
     squaring guard; ArithmeticError for a material imaginary residue, and
     OverflowError for a value that is not finite.
     """
-    _require_conjugate_closed(ev)
     if max_order < 0:
         raise ValueError("derivative order must be nonnegative")
+    return _grid(ev, lo, hi, count, _order_rows(ev.diagonal, max_order))
+
+
+def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
+          rows: np.ndarray) -> np.ndarray:
+    """``derivative_grid`` for the given stack of rows e_0 Z**j: one value column per row.
+
+    ``verify_sign`` passes only the orders it reads.  Raises as
+    ``derivative_grid`` does, except for the order, which the caller checks.
+    """
+    _require_conjugate_closed(ev)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid bounds must be finite, got [{lo!r}, {hi!r}]")
     if lo > hi:
@@ -322,7 +359,8 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     xs = np.linspace(lo, hi, count)
     if lo == hi or count == 1:
         # One abscissa, possibly repeated: a zero offset would only add rounding.
-        return np.repeat(derivative_table(ev, xs[:1], max_order), count, axis=0)
+        col = _exponentials(ev, xs[:1])[:, :, -1]
+        return np.repeat(_project(_orders(col, rows)), count, axis=0)
     # The 2**60 guard on every abscissa, not only on the factors: depth grows with |x|,
     # so the two ends decide it.
     _squarings(ev, xs[[0, -1]])
@@ -343,20 +381,21 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     ts = [t for *_, factors in sides for t in factors]
     parts = np.split(_exponentials(ev, np.concatenate(ts)), np.cumsum([len(t) for t in ts]))
     dim = len(ev.z)
-    rows_t = _order_rows(ev.diagonal, max_order).T
-    out = np.empty((count, max_order + 1))
+    out = np.empty((count, len(rows)))
     for i, (side, length, _) in enumerate(sides):
         anchors, fine, coarse = parts[3 * i:3 * i + 3]
+        # Entry (i, r*K + j) of the folded fine factors is (e_0 Z**j F_r)[i], F_r the fine
+        # factor r (identity first) and K the number of rows.
+        folded = (_side_by_side(fine).reshape(dim, -1, dim) @ rows.T).reshape(dim, -1)
         # Columns as rows, so that every reshape keeps memory order: anchor b times coarse
-        # factor q is row b*s + q, and that times fine factor r is row b*s**2 + q*s + r,
-        # the point's index on the side.  The last block runs up to s**2 - 1 points past
-        # the side's end, whose columns may overflow; they are dropped before the last
-        # product, and a kept column that overflowed is refused after it.
+        # factor q is row b*s + q, and its values under fine factor r are row
+        # b*s**2 + q*s + r, the point's index on the side.  The last block runs up to
+        # s**2 - 1 points past the side's end, whose values may overflow; they are dropped
+        # after the last product, and a kept value that overflowed is refused.
         with np.errstate(over="ignore", invalid="ignore"):
-            cols = anchors[:, :, -1] @ _side_by_side(coarse)
-            cols = cols.reshape(-1, dim) @ _side_by_side(fine)
-        values = _finite(cols.reshape(-1, dim)[:length] @ rows_t)
-        out[side] = _project(values)
+            cols = (anchors[:, :, -1] @ _side_by_side(coarse)).reshape(-1, dim)
+            values = (cols @ folded).reshape(-1, len(rows))[:length]
+        out[side] = _project(_finite(values))
     return out
 
 
@@ -366,7 +405,7 @@ def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> compl
     A value that is not finite raises OverflowError, as in ``eval_derivative``.
     """
     mats = _exponentials(ev, _checked_abscissae([x], m))
-    return complex(_orders(ev.diagonal, mats[:, :, -1], m)[0, m])
+    return complex(_orders(mats[:, :, -1], _order_rows(ev.diagonal, m))[0, m])
 
 
 def eval_derivative(ev: FundamentalEvaluator, m: int, x: float) -> float:

@@ -30,8 +30,9 @@ import numpy as np
 from .frequencies import as_frequency_vector, is_symmetric
 from .fundamental import (
     FundamentalEvaluator,
+    _grid,
+    _order_rows,
     build_evaluator,
-    derivative_grid,
     derivative_table,
     eval_derivative,  # unused here; bench/test_smoke.py checks that tracing rebinds this copy
 )
@@ -172,7 +173,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
                 sign: int = 1) -> SignReport:
     """Sampling certificate that sign * Phi^(m) >= -tol on [lo, hi].
 
-    Samples a uniform grid through ``derivative_grid``, which tabulates
+    Samples the uniform grid of ``derivative_grid``, contracting only the
     orders m to m + 2; on a violation the report carries the first offending
     abscissa and the nearest sign change, refined by ``_refine_sign_change``
     from the two grid rows around it, each further step costing one
@@ -192,9 +193,11 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         raise ValueError("need at least 64 grid samples")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if m < 0:
+        raise ValueError("derivative order must be nonnegative")
 
     xs = np.linspace(lo, hi, grid)
-    rows = sign * derivative_grid(ev, lo, hi, grid, m + 2)[:, m:]
+    rows = _grid(ev, lo, hi, grid, sign * _order_rows(ev.diagonal, m + 2)[m:])
     vals = rows[:, 0]
     bad = np.flatnonzero(vals < -tol)
     if bad.size == 0:
@@ -412,6 +415,16 @@ class MonotonicityCertificate:
       exponential polynomial with at most n real zeros (Polya-Szego, Part V)
       and n-1 of them sit at 0, so Phi' changes sign once on (0, oo) and the
       scan's first negative sample lies just past that zero.
+
+    As with ``SignReport.boundary``, the 1e-10 bracket around
+    ``derivative_zero`` holds a sign change of the computed Phi', which can
+    lie farther from the true zero where Phi' cancels.  For [-93.03504499963121,
+    -0.04451643050514944, -0.0015391044333304571] the zero is
+    78.29988519656305 (40-digit mpmath), while ``derivative_zero`` is
+    78.29988519665345, 9.0e-11 away; on 25 points spaced 5e-11 across the
+    zero the computed Phi' reads ``-++++++00+00-+-+++-------``: Phi' = l_0 Phi
+    + (...) cancels a term about 93 times the value, while its slope is set
+    by the frequency 0.0015.
     """
 
     kind: CertificateKind

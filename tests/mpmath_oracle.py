@@ -46,3 +46,11 @@ def eval_via_mpmath(freq, m: int, x: float, dps: int = 50) -> complex:
         for _ in range(m):
             row = row * z
         return complex((row * col)[0, 0])
+
+
+def expm_via_mpmath(freq, x: float, dps: int = 40) -> list:
+    """Every entry of expm(x Z) at ``dps`` digits, as rows of Python complex numbers."""
+    entries = tuple(complex(v) for v in freq)
+    with mpmath.workdps(dps):
+        e = mpmath.expm(mpmath.mpf(x) * _bidiagonal(entries))
+        return [[complex(e[i, j]) for j in range(len(entries))] for i in range(len(entries))]

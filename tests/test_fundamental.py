@@ -17,7 +17,7 @@ from expfun import (
     eval_via_partial_fractions,
     eval_via_taylor,
 )
-from mpmath_oracle import eval_via_mpmath
+from mpmath_oracle import eval_via_mpmath, expm_via_mpmath
 
 
 def random_conjugate_closed(rng, n):
@@ -322,6 +322,53 @@ class TestHighPrecisionOracle:
         assert_matches_mpmath(entries, derivative_table(ev, xs, 24), xs, MPMATH_SHARE)
 
 
+#: Vectors for the full-matrix oracle: real and conjugate pairs with twelve
+#: entries, confluent, near-confluent, all-zero, and the single frequency 0,
+#: whose Z = 0 has norm 0.
+EXPM_VECTORS = {
+    "real": twelve_frequency_vectors()[0],
+    "pairs": twelve_frequency_vectors()[1],
+    "confluent": [-1, -1, -1, 2, 2],
+    "near_confluent": [-1, -1 + 1e-7, -2, 0.5],
+    "zeros": [0.0] * 5,
+    "zero": [0.0],
+}
+
+
+class TestExponentialsOracle:
+    """Every entry of the kernel's expm(x*Z) against 40-digit mpmath.
+
+    The grid's fine and coarse factors use whole matrices, not only the last
+    column that the derivatives read.
+    """
+
+    @pytest.mark.parametrize("name", list(EXPM_VECTORS))
+    def test_every_entry(self, name):
+        entries = EXPM_VECTORS[name]
+        ev = build_evaluator(entries)
+        # x = 0, then one abscissa of each sign at every scaling depth 0..5.
+        unit = fundamental._THETA_13 / (ev.norm or 1.0)
+        xs = np.array([0.0] + [s * unit * (0.5 if d == 0 else 0.75 * 2 ** d)
+                               for d in range(6) for s in (1, -1)])
+        depths = [0] + [d for d in range(6) for _ in "+-"] if ev.norm else [0] * len(xs)
+        assert fundamental._squarings(ev, xs).tolist() == depths
+        mats = fundamental._exponentials(ev, xs)
+        assert mats.dtype == (np.complex128 if name == "pairs" else np.float64)
+        assert np.array_equal(mats[0], np.eye(len(entries)))
+        upper = np.triu_indices(len(entries))
+        for x, mat in zip(xs[1:], mats[1:]):
+            ref = np.array(expm_via_mpmath(entries, x))
+            err = np.abs(mat - ref)
+            # Each column within 1e-12 of its largest reference entry.
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(err <= 1e-12 * scale), (x, (err / scale).max())
+            if name != "pairs":
+                # Real Z: every upper entry of expm(x*Z) is nonzero, of the sign of
+                # x**(j-i), and keeps its relative accuracy.
+                rel = err[upper] / np.abs(ref[upper])
+                assert np.all(rel <= 1e-12), (x, rel.max())
+
+
 class TestDerivativeTable:
     def test_rows_match_partial_fractions(self):
         # A 12-frequency grid reaching squaring depths 0..3 over several chunks.
@@ -432,9 +479,10 @@ class TestDerivativeGrid:
     def test_orders_act_on_the_finished_product(self):
         # -7 is the offset -6.5 applied to the anchor -0.5.  Against 50-digit
         # mpmath, as a share of each order's largest value: Z**j acting on the
-        # product column gives 4.3e-15, acting on the offset's first row,
-        # (e_0 Z**j offset) @ anchor column, 5.2e-15, but acting on the anchor
-        # column before the offset 6.7e-12, about three digits lost.
+        # product column gives 1.6e-14, acting on the offset's first row,
+        # (e_0 Z**j offset) @ anchor column, as the grid does, 1.4e-14, but
+        # acting on the anchor column before the offset 1.8e-11, about three
+        # digits lost.
         pairs = twelve_frequency_vectors()[1]
         grid = derivative_grid(build_evaluator(pairs), -7.0, -0.5, 2, 12)
         assert_matches_mpmath(pairs, grid, [-7.0, -0.5], 1e-13)
@@ -519,3 +567,26 @@ class TestDerivativeGrid:
                     table = derivative_table(ev, np.linspace(lo, hi, count), max_order)
                     scale = np.abs(table).max(axis=0)
                     assert np.all(np.abs(grid - table) <= 1e-12 * scale), (entries, lo, hi, count)
+
+    def test_restricted_rows_match_full_grid(self):
+        # _grid with the rows of orders m..m+2 only, as verify_sign calls it, against
+        # the columns m.. of the full grid: real and conjugate vectors, grids left
+        # of, right of and across 0, the one-point path, and every m from 0 to n+1.
+        rng = np.random.default_rng(43)
+        vectors = [twelve_frequency_vectors()[0], twelve_frequency_vectors()[1], [-1, -2]]
+        vectors += [list(rng.uniform(-2.0, 2.0, int(rng.integers(2, 9)))) for _ in range(3)]
+        vectors += [random_conjugate_closed(rng, int(rng.integers(1, 9))) for _ in range(3)]
+        grids = [(0.5, 4.0, 4096), (-4.0, -0.5, 4096), (-1.5, 3.0, 4096), (-1.5, 3.0, 65),
+                 (1.2, 1.2, 7), (-0.7, 2.0, 1)]
+        for entries in vectors:
+            ev = build_evaluator(entries)
+            n = len(entries) - 1
+            for lo, hi, count in grids:
+                full = derivative_grid(ev, lo, hi, count, n + 3)
+                scale = np.abs(full).max(axis=0)
+                for m in range(n + 2):
+                    rows = fundamental._order_rows(ev.diagonal, m + 2)[m:]
+                    part = fundamental._grid(ev, lo, hi, count, rows)
+                    assert part.shape == (count, 3) and part.dtype == np.float64
+                    assert np.all(np.abs(part - full[:, m:m + 3]) <= 1e-12 * scale[m:m + 3]), \
+                        (entries, lo, hi, count, m)

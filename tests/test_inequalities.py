@@ -104,6 +104,45 @@ class TestVerifySign:
             verify_sign(ev, 2, 0.0, 1.0, grid=32)
         with pytest.raises(ValueError):
             verify_sign(ev, 2, 0.0, 1.0, sign=2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_sign(ev, -1, 0.0, 1.0)
+
+    def test_matches_scan_of_full_grid(self):
+        # verify_sign contracts only the orders m..m+2; a scan of the full
+        # derivative_grid must give the same status and witness, and plain
+        # bisection from it the same boundary.
+        rng = np.random.default_rng(47)
+        checked = 0
+        for trial in range(24):
+            count = int(rng.integers(2, 9))
+            if trial % 2:
+                entries = list(rng.uniform(-2.0, 1.0, count))
+            else:
+                entries = [complex(rng.uniform(-0.5, 0.8), rng.uniform(0.3, 2.0))]
+                entries += [entries[0].conjugate()] + list(rng.uniform(-2.0, 1.0, count - 2))
+            ev = build_evaluator(entries)
+            m = int(rng.integers(0, count + 1))
+            lo, hi = sorted(rng.uniform(-1.0, 4.0, 2))
+            sign = int(rng.choice([1, -1]))
+            rep = verify_sign(ev, m, lo, hi, grid=512, sign=sign)
+            xs = np.linspace(lo, hi, 512)
+            bad = np.flatnonzero(sign * derivative_grid(ev, lo, hi, 512, m)[:, m] < -1e-10)
+            assert rep.status == ("violated" if bad.size else "nonnegative"), (entries, m, lo, hi)
+            assert rep.witness == (float(xs[bad[0]]) if bad.size else None)
+            if rep.boundary is not None:
+                oracle = bisection_oracle(ev, m, lo, hi, 512, sign=sign)
+                assert abs(rep.boundary - oracle) <= XTOL, (entries, m, lo, hi)
+                checked += 1
+        assert checked >= 6
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.2, 3.0), (1.0, 0.5)])
+    def test_pair_second_derivative_zero_closed_form(self, a, b):
+        # Phi = e^(ax) sin(bx) / b for the pair a +- bi, so Phi'' = |l|**2 e^(ax)
+        # sin(bx + 2 arg l) / b, whose first zero on (0, oo) is B* below.
+        zero = (math.pi - math.atan2(2 * a * b, a * a - b * b)) / b
+        rep = verify_sign(build_evaluator([complex(a, b), complex(a, -b)]), 2, 0.0, 2 * zero)
+        assert rep.status == "violated" and rep.witness > zero
+        assert abs(rep.boundary - zero) <= 1e-10
 
 
 def count_tables(monkeypatch):
