@@ -17,20 +17,23 @@ coefficients with those powers, before one stacked solve and the squarings:
 
 * ``derivative_table`` takes any abscissae and spends one exponential per
   point, passing them to the kernel in slices of bounded working memory.
-  Sign-change refinement, quadrature nodes and the single-point
-  functions use it: ``eval_derivative`` and ``basis`` read one row of it, and
-  ``eval_derivative_complex`` runs the same kernel without the real
-  projection.
+  Quadrature nodes and the single-point functions use it:
+  ``eval_derivative`` and ``basis`` read one row of it.
 * ``derivative_grid`` takes a uniform grid ``linspace(lo, hi, count)`` and
   writes every point as the product of three exponentials, an anchor, a
   coarse and a fine offset, so about 3 cbrt(count) exponentials serve the
   whole grid, and two BLAS matrix products per side of 0 apply them.  The
-  CLI ``eval``, ``hankel`` and ``turan`` tables use it; sign scans
-  (``verify_sign``) use the same grid for the three orders they read.
+  CLI ``eval``, ``hankel`` and ``turan`` tables use it.
 
 Both read the orders off the last column c of each exponential as
 (e_0 Z**j) . c, with the rows e_0 Z**j from a bidiagonal recurrence once per
-call.  The table applies them to every point's finished column with
+call, and both hand those rows to one of two private kernels that take the
+rows they apply: ``_table`` for given abscissae and ``_grid`` for a uniform
+grid.  ``_table`` also serves ``eval_derivative_complex``, which skips the
+real projection, and ``_grid``'s one-point grids.  Sign scans
+(``verify_sign``) pass only the three orders they read to ``_grid``, and
+refine a sign change on one-point grids of the same rows.  The table
+applies the rows to every point's finished column with
 ``einsum``, so that a row does not depend on the other abscissae of the
 call.  The grid makes no such promise: it folds the rows into its fine
 factors, e_0 Z**j expm(r*h*Z), and applies those with a BLAS product to
@@ -81,7 +84,7 @@ _PADE_13 = np.array((
 #: Refuse matrix exponentials whose scaling step would exceed 2**60.
 _MAX_SQUARINGS = 60
 
-#: Matrix entries per stacked array in one ``derivative_table`` slice; this
+#: Matrix entries per stacked array in one ``_table`` slice; this
 #: bounds the kernel's working memory whatever the number of abscissae.
 _CHUNK_ENTRIES = 4096
 
@@ -93,19 +96,18 @@ class FundamentalEvaluator:
     ``diagonal`` holds the frequencies, the diagonal of the (n+1) x (n+1)
     upper bidiagonal matrix Z with ones on its superdiagonal; it is real
     when every frequency is real, and evaluation then runs in real
-    arithmetic.  ``z`` is Z itself, read-only, of the same dtype.  ``norm``
-    is the spectral norm nu of Z, which fixes the scaling depth at every
-    abscissa.  ``powers`` is the read-only (14, (n+1)**2) stack of the
-    flattened powers (Z/nu)**k, k = 0..13, the basis in which the Pade(13)
-    kernel writes every matrix it needs; nu = 1 stands in when Z = 0, which
-    happens only for the single frequency 0.  ``realify`` records whether
-    the frequency vector is conjugate-closed, in which case values are
-    projected onto the reals after an imaginary-residue check.
+    arithmetic.  ``norm`` is the spectral norm nu of Z, which fixes the
+    scaling depth at every abscissa.  ``powers`` is the read-only
+    (14, (n+1)**2) stack of the flattened powers (Z/nu)**k, k = 0..13, the
+    basis in which the Pade(13) kernel writes every matrix it needs; nu = 1
+    stands in when Z = 0, which happens only for the single frequency 0.
+    ``realify`` records whether the frequency vector is conjugate-closed, in
+    which case values are projected onto the reals after an
+    imaginary-residue check.
     """
 
     freq: FrequencyVector
     diagonal: np.ndarray = field(repr=False, compare=False)
-    z: np.ndarray = field(repr=False, compare=False)
     powers: np.ndarray = field(repr=False, compare=False)
     norm: float
     realify: bool
@@ -123,7 +125,6 @@ def build_evaluator(freq) -> FundamentalEvaluator:
         diagonal = diagonal.real.copy()
     diagonal.setflags(write=False)
     z = np.diag(diagonal) + np.diag(np.ones(len(diagonal) - 1), 1)
-    z.setflags(write=False)
     norm = float(np.linalg.norm(z, 2))
     unit = z / (norm or 1.0)
     powers = np.empty((_PADE_13.shape[1],) + z.shape, dtype=z.dtype)
@@ -132,20 +133,8 @@ def build_evaluator(freq) -> FundamentalEvaluator:
         powers[k] = powers[k - 1] @ unit
     powers = powers.reshape(len(powers), -1)
     powers.setflags(write=False)
-    return FundamentalEvaluator(freq=freq, diagonal=diagonal, z=z, powers=powers, norm=norm,
+    return FundamentalEvaluator(freq=freq, diagonal=diagonal, powers=powers, norm=norm,
                                 realify=is_conjugate_closed(freq))
-
-
-def _checked_abscissae(xs, max_order: int) -> np.ndarray:
-    if max_order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("abscissae must form a one-dimensional sequence")
-    finite = np.isfinite(xs)
-    if not finite.all():
-        raise ValueError(f"abscissae must be finite, got x={float(xs[~finite][0])!r}")
-    return xs
 
 
 def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
@@ -184,8 +173,8 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     order = np.argsort(squarings, kind="stable")
     depth = squarings[order]
     t = xs[order] / 2.0 ** depth
-    dim = len(ev.z)
-    ident = np.eye(dim, dtype=ev.z.dtype)
+    dim = len(ev.diagonal)
+    ident = np.eye(dim, dtype=ev.diagonal.dtype)
     terms = len(ev.powers)
     scaled = np.vander(t * (ev.norm or 1.0), terms, increasing=True)
     coeffs = (_PADE_13[:, None, :] * scaled).reshape(-1, 1, terms)
@@ -207,6 +196,8 @@ def _order_rows(diag: np.ndarray, max_order: int) -> np.ndarray:
     expm(x*Z).  The rows come from the bidiagonal recurrence on the row side,
     (r Z)[i] = r[i-1] + l_i r[i], once per call.
     """
+    if max_order < 0:
+        raise ValueError("derivative order must be nonnegative")
     rows = np.zeros((max_order + 1, len(diag)), dtype=diag.dtype)
     rows[0, 0] = 1.0
     for j in range(1, max_order + 1):
@@ -269,13 +260,30 @@ def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray
     that is not finite raises OverflowError.
     """
     _require_conjugate_closed(ev)
-    xs = _checked_abscissae(xs, max_order)
-    rows = _order_rows(ev.diagonal, max_order)
-    out = np.empty((len(xs), max_order + 1))
-    step = max(1, _CHUNK_ENTRIES // len(ev.z) ** 2)
+    return _project(_table(ev, xs, _order_rows(ev.diagonal, max_order)))
+
+
+def _table(ev: FundamentalEvaluator, xs, rows: np.ndarray) -> np.ndarray:
+    """Values of the given stack of rows e_0 Z**j at the abscissae xs: one value column per row.
+
+    The counterpart of ``_grid`` for any abscissae: one exponential per
+    point, passed to the kernel in slices of ``_CHUNK_ENTRIES`` matrix
+    entries, with the rows applied to each finished last column by
+    ``_orders``.  The values are not projected, so they are complex when the
+    diagonal is.  Raises ValueError for abscissae that do not form a finite
+    one-dimensional sequence or lie beyond the squaring guard, and
+    OverflowError for a value that is not finite.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("abscissae must form a one-dimensional sequence")
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise ValueError(f"abscissae must be finite, got x={float(xs[~finite][0])!r}")
+    out = np.empty((len(xs), len(rows)), dtype=ev.diagonal.dtype)
+    step = max(1, _CHUNK_ENTRIES // len(ev.diagonal) ** 2)
     for lo in range(0, len(xs), step):
-        mats = _exponentials(ev, xs[lo:lo + step])
-        out[lo:lo + step] = _project(_orders(mats[:, :, -1], rows))
+        out[lo:lo + step] = _orders(_exponentials(ev, xs[lo:lo + step])[:, :, -1], rows)
     return out
 
 
@@ -337,8 +345,6 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     squaring guard; ArithmeticError for a material imaginary residue, and
     OverflowError for a value that is not finite.
     """
-    if max_order < 0:
-        raise ValueError("derivative order must be nonnegative")
     return _grid(ev, lo, hi, count, _order_rows(ev.diagonal, max_order))
 
 
@@ -346,8 +352,10 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
           rows: np.ndarray) -> np.ndarray:
     """``derivative_grid`` for the given stack of rows e_0 Z**j: one value column per row.
 
-    ``verify_sign`` passes only the orders it reads.  Raises as
-    ``derivative_grid`` does, except for the order, which the caller checks.
+    ``verify_sign`` passes only the orders it reads, the same rows to its
+    scan and to the one-point grids that refine a sign change.  Raises as
+    ``derivative_grid`` does, except for the order, which ``_order_rows``
+    checks.
     """
     _require_conjugate_closed(ev)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -359,8 +367,7 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     xs = np.linspace(lo, hi, count)
     if lo == hi or count == 1:
         # One abscissa, possibly repeated: a zero offset would only add rounding.
-        col = _exponentials(ev, xs[:1])[:, :, -1]
-        return np.repeat(_project(_orders(col, rows)), count, axis=0)
+        return np.repeat(_project(_table(ev, xs[:1], rows)), count, axis=0)
     # The 2**60 guard on every abscissa, not only on the factors: depth grows with |x|,
     # so the two ends decide it.
     _squarings(ev, xs[[0, -1]])
@@ -380,7 +387,7 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
                                          h * np.arange(s, min(s * s, length), s))))
     ts = [t for *_, factors in sides for t in factors]
     parts = np.split(_exponentials(ev, np.concatenate(ts)), np.cumsum([len(t) for t in ts]))
-    dim = len(ev.z)
+    dim = len(ev.diagonal)
     out = np.empty((count, len(rows)))
     for i, (side, length, _) in enumerate(sides):
         anchors, fine, coarse = parts[3 * i:3 * i + 3]
@@ -404,8 +411,7 @@ def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> compl
 
     A value that is not finite raises OverflowError, as in ``eval_derivative``.
     """
-    mats = _exponentials(ev, _checked_abscissae([x], m))
-    return complex(_orders(mats[:, :, -1], _order_rows(ev.diagonal, m))[0, m])
+    return complex(_table(ev, [x], _order_rows(ev.diagonal, m))[0, m])
 
 
 def eval_derivative(ev: FundamentalEvaluator, m: int, x: float) -> float:

@@ -177,7 +177,8 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     orders m to m + 2; on a violation the report carries the first offending
     abscissa and the nearest sign change, refined by ``_refine_sign_change``
     from the two grid rows around it, each further step costing one
-    ``derivative_table`` row (about 3 on the benchmark's scans).  With
+    evaluation of the same three orders at one point (about 3 on the
+    benchmark's scans).  With
     ``sign=-1`` the check certifies nonpositivity.  A "nonnegative" status is
     a grid certificate, not a proof.
 
@@ -196,9 +197,10 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
 
+    rows = sign * _order_rows(ev.diagonal, m + 2)[m:]
+    samples = _grid(ev, lo, hi, grid, rows)
     xs = np.linspace(lo, hi, grid)
-    rows = _grid(ev, lo, hi, grid, sign * _order_rows(ev.diagonal, m + 2)[m:])
-    vals = rows[:, 0]
+    vals = samples[:, 0]
     bad = np.flatnonzero(vals < -tol)
     if bad.size == 0:
         return SignReport("nonnegative", None, None, grid, sign)
@@ -214,8 +216,8 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         if not after.size:
             return SignReport("violated", witness, None, grid, sign)
         j = i + int(after[0])
-    probe = lambda x: sign * derivative_table(ev, [x], m + 2)[0, m:]
-    boundary = _refine_sign_change(probe, float(xs[j - 1]), float(xs[j]), rows[j - 1], rows[j])
+    probe = lambda x: _grid(ev, x, x, 1, rows)[0]
+    boundary = _refine_sign_change(probe, float(xs[j - 1]), float(xs[j]), samples[j - 1], samples[j])
     return SignReport("violated", witness, boundary, grid, sign)
 
 
@@ -435,22 +437,18 @@ class MonotonicityCertificate:
 
 
 def _symmetry_pairs(values: Sequence[float]) -> tuple:
-    remaining = list(range(len(values)))
+    """Each index with the first free index of the negated value, or itself for a leftover 0.
+
+    The values must equal their negation as a multiset exactly.
+    """
+    free = list(range(len(values)))
     pairs = []
-    while remaining:
-        i = remaining.pop(0)
-        best_j, best_d = None, None
-        for j in remaining:
-            d = abs(values[i] + values[j])
-            if best_d is None or d < best_d:
-                best_d, best_j = d, j
-        if values[i] == 0.0 and (best_d is None or best_d > 0.0):
-            pairs.append((i, i))
-            continue
-        if best_j is None:
-            break
-        remaining.remove(best_j)
-        pairs.append((i, best_j))
+    while free:
+        i = free.pop(0)
+        j = next((j for j in free if values[j] == -values[i]), i)
+        if j != i:
+            free.remove(j)
+        pairs.append((i, j))
     return tuple(pairs)
 
 

@@ -415,6 +415,10 @@ class TestDerivativeTable:
         assert derivative_table(ev, [], 3).shape == (0, 4)
         with pytest.raises(ValueError):
             derivative_table(ev, [1.0], -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            eval_derivative_complex(build_evaluator([1j, 0]), -1, 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            eval_derivative(ev, -1, 0.5)
 
     def test_guard_applies_to_whole_grid(self):
         ev = build_evaluator([40.0, -40.0])

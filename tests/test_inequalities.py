@@ -106,6 +106,9 @@ class TestVerifySign:
             verify_sign(ev, 2, 0.0, 1.0, sign=2)
         with pytest.raises(ValueError, match="nonnegative"):
             verify_sign(ev, -1, 0.0, 1.0)
+        # Refused before any abscissa is formed, so numpy does not warn on inf * 0.
+        with pytest.raises(ValueError, match="finite"):
+            verify_sign(ev, 2, 0.0, math.inf)
 
     def test_matches_scan_of_full_grid(self):
         # verify_sign contracts only the orders m..m+2; a scan of the full
@@ -146,16 +149,23 @@ class TestVerifySign:
 
 
 def count_tables(monkeypatch):
-    """Record the row count of every derivative_table call made from inequalities."""
+    """Record the point count and the rows object of every _grid call made from inequalities."""
     calls = []
-    original = inequalities.derivative_table
+    original = inequalities._grid
 
-    def counted(ev, xs, max_order):
-        calls.append(len(xs))
-        return original(ev, xs, max_order)
+    def counted(ev, lo, hi, count, rows):
+        calls.append((count, id(rows)))
+        return original(ev, lo, hi, count, rows)
 
-    monkeypatch.setattr(inequalities, "derivative_table", counted)
+    monkeypatch.setattr(inequalities, "_grid", counted)
     return calls
+
+
+def assert_scan_then_probes(calls, grid, most):
+    """The first call scans the grid; the rest are one-point probes on the scan's rows."""
+    (count, rows), *probes = calls
+    assert count == grid
+    assert probes == [(1, rows)] * len(probes) and 1 <= len(probes) <= most
 
 
 def bisection_oracle(ev, m, lo, hi, grid, tol=1e-10, sign=1):
@@ -196,7 +206,7 @@ class TestRefineSignChange:
         calls = count_tables(monkeypatch)
         rep = verify_sign(ev, m, lo, hi, grid=grid, tol=tol, sign=sign)
         assert rep.status == "violated"
-        assert calls == [1] * len(calls) and 1 <= len(calls) <= 6
+        assert_scan_then_probes(calls, grid, 6)
         assert abs(rep.boundary - oracle) <= XTOL
 
     def test_bracket_of_adjacent_floats_far_from_origin(self):
@@ -211,8 +221,8 @@ class TestRefineSignChange:
         calls = count_tables(monkeypatch)
         cert = monotonicity_certificate([-1, -2])
         assert cert.derivative_zero == pytest.approx(math.log(2), abs=XTOL)
-        # The grid scan brackets the zero; only one-row probes refine it, eight here.
-        assert calls == [1] * len(calls) and 1 <= len(calls) <= 8
+        # The grid scan brackets the zero; only one-point probes refine it, eight here.
+        assert_scan_then_probes(calls, inequalities.DEFAULT_GRID, 8)
 
 
 class TestIdentityResidual:
@@ -475,6 +485,19 @@ class TestMonotonicityCertificate:
     def test_symmetric_vector(self):
         cert = monotonicity_certificate([-1, 0, 1])
         assert cert.kind is CertificateKind.SYMMETRIC
+
+    @pytest.mark.parametrize("values, pairs", [
+        ([1, -1, 1, -1, 0, 0, 0], ((0, 1), (2, 3), (4, 5), (6, 6))),
+        ([2, 0, -2], ((0, 2), (1, 1))),
+        ([0.5, -1.5, 0.0, 1.5, -0.5], ((0, 4), (1, 3), (2, 2))),
+        ([0, 0], ((0, 1),)),
+        ([0.0], ((0, 0),)),
+    ])
+    def test_symmetric_pairs(self, values, pairs):
+        # Each index meets the first free index of its negation; a leftover 0 pairs with itself.
+        cert = monotonicity_certificate(values)
+        assert cert.kind is CertificateKind.SYMMETRIC
+        assert cert.pairs == pairs
 
     def test_all_negative_vector_gets_counterexample(self):
         cert = monotonicity_certificate([-1, -2])
