@@ -37,8 +37,9 @@ from .inequalities import (
     CertificateKind,
     DEFAULT_GRID,
     PolynomialCoeffs,
-    _hankel_entries,
+    _hankel,
     _refine_sign_change,
+    _scaled,
     _turan_ratios,
     hankel_matrix,
     is_positive_definite,
@@ -233,7 +234,7 @@ def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
     lo, hi = interval
     ev = build_evaluator(frequencies)
     xs = np.linspace(lo, hi, samples)
-    mats = _hankel_entries(derivative_grid(ev, lo, hi, samples, max(frequencies.n, 2 * k)), k)
+    mats = _hankel(_scaled(derivative_grid(ev, lo, hi, samples, max(frequencies.n, 2 * k))), k + 1)
     rows = [[float(x), float(det), is_positive_definite(h, tol)]
             for x, det, h in zip(xs, np.linalg.det(mats), mats)]
 

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frequencies import as_frequency_vector, is_symmetric
+from .frequencies import as_frequency_vector
 from .fundamental import (
     FundamentalEvaluator,
     _grid,
@@ -222,16 +222,12 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
 
 
 def _weighted_basis_sum(ev: FundamentalEvaluator, poly: PolynomialCoeffs, x: float) -> float:
-    """sum_k a_k b_k(x), with b_k(x) = k! Phi^(n-k)(x) read from one derivative_table row."""
+    """sum_k a_k b_k(x), with b_k(x) = k! Phi^(n-k)(x) the ``_scaled`` derivative_table row."""
     n = ev.n
     if poly.degree > n:
         raise ValueError(f"polynomial degree {poly.degree} exceeds order index {n}")
-    row = derivative_table(ev, [x], n)[0]
-    total = 0.0
-    for k, a in enumerate(poly.coeffs):
-        if a != 0.0:
-            total += a * (math.factorial(k) * row[n - k])
-    return float(total)
+    b = _scaled(derivative_table(ev, [x], n)[0])
+    return float(sum(a * b[k] for k, a in enumerate(poly.coeffs) if a != 0.0))
 
 
 #: Gauss-Legendre orders of the convolution integral in ``identity_residual``,
@@ -284,6 +280,12 @@ class HankelMatrix:
     t = max(n, 2k); for 2k <= n this puts Phi^(n) in the corner, and the
     boundary case 2k = n + 1 starts one derivative higher so that 2-frequency
     vectors admit the classical 2x2 probe [[Phi'', Phi'], [Phi', 2 Phi]].
+
+    The entries are ``_hankel`` of the ``_scaled`` derivative row, the index
+    map that also builds the moment conditions and the recovery block of
+    ``expfun.moments``.  For 2k <= n the row is the basis values b_j(x), so
+    the matrix is the moment matrix of ``transform`` of a unit atom at x on
+    [0, x], entry for entry.
     """
 
     entries: np.ndarray
@@ -305,22 +307,24 @@ def hankel_matrix(ev: FundamentalEvaluator, k: int, x: float) -> HankelMatrix:
             f"half-order k={k} needs derivative orders below zero for n={n}; "
             "require 2k <= n + 1"
         )
-    top = max(n, 2 * k)
-    h = _hankel_entries(derivative_table(ev, [x], top), k)[0]
+    h = _hankel(_scaled(derivative_table(ev, [x], max(n, 2 * k))[0]), k + 1)
     h.setflags(write=False)
     return HankelMatrix(entries=h, x=float(x), k=k)
 
 
-def _hankel_entries(rows: np.ndarray, k: int) -> np.ndarray:
-    """Stack of (k+1) x (k+1) Hankel matrices, one per row of a derivative table.
+def _scaled(rows: np.ndarray) -> np.ndarray:
+    """Factorial-weighted reversed rows: entry j is j! * rows[..., top - j], top the last order.
 
-    Entry (r, s) of matrix i is (r+s)! * rows[i, top - (r+s)], with top the
-    table's highest order.
+    For a derivative table with top order n these are the basis values
+    b_j = j! Phi^(n-j).
     """
-    top = rows.shape[1] - 1
-    j = np.add.outer(np.arange(k + 1), np.arange(k + 1))
-    factorials = np.array([float(math.factorial(i)) for i in range(2 * k + 1)])
-    return factorials[j] * rows[:, top - j]
+    factorials = np.array([float(math.factorial(j)) for j in range(rows.shape[-1])])
+    return factorials * rows[..., ::-1]
+
+
+def _hankel(seq: np.ndarray, size: int, offset: int = 0) -> np.ndarray:
+    """The size x size Hankel matrix seq[..., offset + r + s] of one sequence or of a stack."""
+    return seq[..., offset + np.add.outer(np.arange(size), np.arange(size))]
 
 
 def cholesky_factor(h, tol: float) -> Optional[np.ndarray]:
@@ -436,10 +440,11 @@ class MonotonicityCertificate:
     derivative_zero: Optional[float] = None
 
 
-def _symmetry_pairs(values: Sequence[float]) -> tuple:
+def _symmetry_pairs(values: Sequence[float]) -> Optional[tuple]:
     """Each index with the first free index of the negated value, or itself for a leftover 0.
 
-    The values must equal their negation as a multiset exactly.
+    None when some nonzero value has no free exact negation, that is when the
+    values do not equal their negation as a multiset.
     """
     free = list(range(len(values)))
     pairs = []
@@ -448,26 +453,27 @@ def _symmetry_pairs(values: Sequence[float]) -> tuple:
         j = next((j for j in free if values[j] == -values[i]), i)
         if j != i:
             free.remove(j)
+        elif values[i] != 0.0:
+            return None
         pairs.append((i, j))
     return tuple(pairs)
 
 
 def _greedy_pair_chain(values: Sequence[float]) -> tuple:
-    """Disjoint pairs with nonnegative sum: largest joins the smallest admissible."""
+    """Disjoint pairs with nonnegative sum: largest joins the smallest admissible.
+
+    A two-pointer walk over the values in descending order: a tail too
+    negative for the current lead is too negative for every later lead, so
+    it is dropped.
+    """
     order = sorted(range(len(values)), key=lambda i: values[i], reverse=True)
     pairs = []
-    while len(order) >= 2:
-        lead = order[0]
-        partner = None
-        for idx in reversed(order[1:]):
-            if values[lead] + values[idx] >= 0.0:
-                partner = idx
-                break
-        if partner is None:
-            break
-        order.remove(lead)
-        order.remove(partner)
-        pairs.append((lead, partner))
+    lead, tail = 0, len(order) - 1
+    while lead < tail:
+        if values[order[lead]] + values[order[tail]] >= 0.0:
+            pairs.append((order[lead], order[tail]))
+            lead += 1
+        tail -= 1
     return tuple(pairs)
 
 
@@ -483,10 +489,9 @@ def monotonicity_certificate(freq) -> MonotonicityCertificate:
         raise ValueError("monotonicity certificates require real frequencies")
     values = [v.real for v in freq.entries]
 
-    if is_symmetric(freq, tol=0.0):
-        return MonotonicityCertificate(
-            kind=CertificateKind.SYMMETRIC, pairs=_symmetry_pairs(values)
-        )
+    pairs = _symmetry_pairs(values)
+    if pairs is not None:
+        return MonotonicityCertificate(kind=CertificateKind.SYMMETRIC, pairs=pairs)
 
     pairs = _greedy_pair_chain(values)
     if pairs:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fundamental import FundamentalEvaluator, derivative_table
-from .inequalities import as_polynomial, cholesky_factor, verify_sign
+from .inequalities import _hankel, as_polynomial, cholesky_factor, verify_sign
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -192,23 +192,17 @@ class HausdorffReport:
     conditions: tuple
 
 
-def _hankel_block(values: np.ndarray, offset: int, size: int) -> np.ndarray:
-    return np.array([[values[i + j + offset] for j in range(size)] for i in range(size)])
-
-
 def _psd_conditions(s: MomentSequence):
+    # Each matrix is the Hankel matrix of one localized sequence, such as b s_{i+1} - s_{i+2}.
     v = np.asarray(s.values)
-    n = s.n
     b = s.support_length
-    m = n // 2
-    if n % 2 == 0:
-        yield "moments", _hankel_block(v, 0, m + 1)
-        if m >= 1:
-            loc = b * _hankel_block(v, 1, m) - _hankel_block(v, 2, m)
-            yield "t_times_b_minus_t", loc
+    m = s.n // 2
+    if s.n % 2 == 0:
+        yield "moments", _hankel(v, m + 1)
+        yield "t_times_b_minus_t", _hankel(b * v[1:-1] - v[2:], m)
     else:
-        yield "t", _hankel_block(v, 1, m + 1)
-        yield "b_minus_t", b * _hankel_block(v, 0, m + 1) - _hankel_block(v, 1, m + 1)
+        yield "t", _hankel(v, m + 1, 1)
+        yield "b_minus_t", _hankel(b * v[:-1] - v[1:], m + 1)
 
 
 def hausdorff_check(s: MomentSequence, tol: Optional[float] = None) -> HausdorffReport:
@@ -236,31 +230,28 @@ def hausdorff_check(s: MomentSequence, tol: Optional[float] = None) -> Hausdorff
 def _gauss_from_moments(seq: np.ndarray, tol: float):
     """Nodes and weights of a Gauss-type rule matching moments seq[0..2K-1].
 
-    Cholesky of the K x K Hankel block plus one solved column gives the
-    three-term recurrence; the tridiagonal eigenproblem yields the nodes and
-    the squared first eigenvector components (times seq[0]) the weights.
-    Rank deficiency truncates K, matching a shorter moment prefix exactly.
+    The Jacobi matrix is read off the Cholesky factor L of the K x K moment
+    matrix (Golub & Welsch 1969): with d = diag(L) and r_j = L[j+1, j] / d_j,
+    r_{K-1} taken from the last entry of L^-1 seq[K:2K], the off-diagonal is
+    d_{j+1} / d_j and the diagonal r_j - r_{j-1} (r_{-1} = 0).  The
+    tridiagonal eigenproblem yields the nodes and the squared first
+    eigenvector components (times seq[0]) the weights.  Rank deficiency
+    truncates K, matching a shorter moment prefix exactly.
     """
     kmax = len(seq) // 2
     if kmax == 0 or seq[0] <= tol:
         return np.array([]), np.array([])
     for K in range(kmax, 0, -1):
-        h = _hankel_block(seq, 0, K)
+        h = _hankel(seq, K)
         low = cholesky_factor(h, tol * max(1.0, float(np.abs(np.diagonal(h)).max())))
         if low is None:
             continue
         if K == 1:
             return np.array([seq[1] / seq[0]]), np.array([float(seq[0])])
-        ext = np.linalg.solve(low, seq[K:2 * K])
-        diag = np.zeros(K)
-        off = np.zeros(K - 1)
-        for j in range(K):
-            right = ext[j] if j == K - 1 else low[j + 1, j]
-            left = 0.0 if j == 0 else low[j, j - 1] / low[j - 1, j - 1]
-            diag[j] = right / low[j, j] - left
-            if j >= 1:
-                off[j - 1] = low[j, j] / low[j - 1, j - 1]
-        jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        d = np.diagonal(low)
+        r = np.append(np.diagonal(low, -1), np.linalg.solve(low, seq[K:2 * K])[-1]) / d
+        off = d[1:] / d[:-1]
+        jacobi = np.diag(r - np.append(0.0, r[:-1])) + np.diag(off, 1) + np.diag(off, -1)
         eigvals, eigvecs = np.linalg.eigh(jacobi)
         weights = seq[0] * eigvecs[0, :] ** 2
         return eigvals, weights

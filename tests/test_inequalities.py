@@ -1,6 +1,7 @@
 """Sign certificates, the convolution identity, dominance, Hankel and ratio bounds."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import expfun.inequalities as inequalities
 from expfun import (
     CertificateKind,
+    Measure,
     PolynomialCoeffs,
     build_evaluator,
     derivative_grid,
@@ -19,6 +21,7 @@ from expfun import (
     is_positive_definite,
     monotonicity_certificate,
     polynomial_nonnegative_on,
+    transform,
     turan_ratio,
     verify_sign,
 )
@@ -332,6 +335,20 @@ class TestHankel:
                 assert h.entries[0, 0] == pytest.approx(eval_derivative(ev, n, x), rel=1e-12)
                 assert np.allclose(h.entries, h.entries.T)
 
+    def test_is_moment_matrix_of_unit_atom(self):
+        # For 2k <= n, entry (r, s) is b_{r+s}(x) = s_{r+s} of the unit atom at x on [0, x].
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            n = int(rng.integers(0, 9))
+            ev = build_evaluator(list(rng.uniform(-2, 2, size=n + 1)))
+            x = float(rng.uniform(0.05, 3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the sign hypothesis may fail; the values stand
+                s = transform(ev, Measure.from_atoms([(x, 1.0)], (0.0, x))).values
+            for k in range(n // 2 + 1):
+                block = np.array([[s[r + c] for c in range(k + 1)] for r in range(k + 1)])
+                assert np.array_equal(hankel_matrix(ev, k, x).entries, block)
+
     def test_polynomial_case_is_rank_one(self):
         # All basis entries are powers of x, so the matrix is singular but
         # positive semidefinite: definiteness fails at tol 0 and the
@@ -498,6 +515,18 @@ class TestMonotonicityCertificate:
         cert = monotonicity_certificate(values)
         assert cert.kind is CertificateKind.SYMMETRIC
         assert cert.pairs == pairs
+
+    @pytest.mark.parametrize("values, pairs", [
+        ([3, -1, -5, 2, -2], ((0, 4), (3, 1))),
+        ([2, 2, -2, -1], ((0, 2), (1, 3))),
+        ([1, -1, -1, 0], ((0, 2),)),
+        ([0, 0, -1], ((0, 1),)),
+        ([-1, -2, -3], ()),
+    ])
+    def test_pair_chain_pairs(self, values, pairs):
+        # The largest remaining value joins the smallest it still sums to >= 0 with; ties keep
+        # the given order, so a tied tail pairs its later index first.
+        assert inequalities._greedy_pair_chain(values) == pairs
 
     def test_all_negative_vector_gets_counterexample(self):
         cert = monotonicity_certificate([-1, -2])

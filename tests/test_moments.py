@@ -15,7 +15,7 @@ from expfun import (
     riesz_functional,
     transform,
 )
-from expfun.moments import _gauss_from_moments
+from expfun.moments import _gauss_from_moments, _psd_conditions
 
 
 def random_symmetric(rng, count, scale=1.2):
@@ -184,6 +184,30 @@ class TestHausdorffCheck:
         assert not hausdorff_check(bad).passed
         escaping = MomentSequence((1.0, 1.2), support_length=1.0, origin=0.0)
         assert not hausdorff_check(escaping).passed
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_condition_matrices(self, n):
+        # Nonempty localized blocks, built entry by entry; hausdorff_check skips empty ones.
+        rng = np.random.default_rng(60 + n)
+        s = MomentSequence(tuple(rng.uniform(-1, 2, size=n + 1)), support_length=1.7, origin=0.3)
+        v, b, m = s.values, s.support_length, n // 2
+
+        def block(size, entry):
+            return np.array([[entry(i + j) for j in range(size)] for i in range(size)]).reshape(size, size)
+
+        if n % 2 == 0:
+            expected = [("moments", block(m + 1, lambda i: v[i])),
+                        ("t_times_b_minus_t", block(m, lambda i: b * v[i + 1] - v[i + 2]))]
+        else:
+            expected = [("t", block(m + 1, lambda i: v[i + 1])),
+                        ("b_minus_t", block(m + 1, lambda i: b * v[i] - v[i + 1]))]
+        expected = [(label, mat) for label, mat in expected if mat.size]
+        got = [(label, mat) for label, mat in _psd_conditions(s) if mat.size]
+        assert [label for label, _ in got] == [label for label, _ in expected]
+        assert [c.label for c in hausdorff_check(s).conditions] == [label for label, _ in expected]
+        for (_, mat), (_, want) in zip(got, expected):
+            assert mat.shape == want.shape
+            assert np.array_equal(mat, want)
 
     def test_transformed_atom_measure_passes(self):
         ev = build_evaluator([0, 1, -1])
