@@ -83,7 +83,9 @@ class MomentSequence:
 
     ``hypothesis_certified`` records whether the sampled sign check of the
     (n+1)-th derivative passed on [0, support_length] when the sequence was
-    produced.
+    produced.  Construction refuses non-finite values, a non-finite origin and
+    a support length that is not finite and nonnegative, since no interval
+    condition can be checked on such geometry.
     """
 
     values: tuple
@@ -95,6 +97,10 @@ class MomentSequence:
         vals = tuple(float(v) for v in self.values)
         if any(not math.isfinite(v) for v in vals):
             raise ValueError("moment values must be finite")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
+        if not 0.0 <= self.support_length < math.inf:
+            raise ValueError(f"support length {self.support_length} is not finite and nonnegative")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -212,15 +218,17 @@ def hausdorff_check(s: MomentSequence, tol: Optional[float] = None) -> Hausdorff
     reflected block (b*s_{i+j} - s_{i+j+1}) to be positive semidefinite;
     odd-length data (even n) require the plain block (s_{i+j}) together with
     the block of b*s_{i+j+1} - s_{i+j+2}.  Each matrix passes when its
-    smallest eigenvalue clears -tol (default 1e-10 times its norm).
+    smallest eigenvalue clears -tol (default 1e-10 times max(1, its largest
+    absolute eigenvalue), which is the spectral norm of a symmetric matrix).
     """
     checks = []
     passed = True
     for label, mat in _psd_conditions(s):
         if mat.size == 0:
             continue
-        thr = tol if tol is not None else 1e-10 * max(1.0, float(np.linalg.norm(mat, 2)))
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        eig = np.linalg.eigvalsh(mat)
+        min_eig = float(eig[0])
+        thr = tol if tol is not None else 1e-10 * max(1.0, float(np.abs(eig).max()))
         ok = min_eig >= -thr
         passed = passed and ok
         checks.append(ConditionCheck(label, min_eig, thr, ok))

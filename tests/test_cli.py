@@ -459,3 +459,15 @@ class TestImportGraph:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_package_reexports_each_layer_all(self):
+        layers = [expfun.frequencies, expfun.fundamental, expfun.inequalities, expfun.moments]
+        expected = [name for layer in layers for name in layer.__all__] + ["__version__"]
+        assert expfun.__all__ == expected
+        assert len(set(expected)) == len(expected)
+        for layer in layers:
+            for name in layer.__all__:
+                assert getattr(expfun, name) is getattr(layer, name), name
+        namespace = {}
+        exec("from expfun import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(expfun.__all__)

@@ -57,6 +57,21 @@ class TestMeasure:
             build()
 
 
+class TestMomentSequence:
+    @pytest.mark.parametrize("length, origin", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (-0.5, 0.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ], ids=["length_nan", "length_inf", "length_-inf", "length_negative",
+            "origin_nan", "origin_inf", "origin_-inf"])
+    def test_unusable_geometry_rejected(self, length, origin):
+        with pytest.raises(ValueError):
+            MomentSequence((1.0, 0.5, 0.3), support_length=length, origin=origin)
+
+    def test_point_support_accepted(self):
+        s = MomentSequence((1.0, 0.0, 0.0), support_length=0.0, origin=-2.0)
+        assert hausdorff_check(s).passed
+
+
 class TestTransform:
     def test_unit_atom_at_left_endpoint(self):
         ev = build_evaluator([0.3, -1.2, 0.9])
@@ -184,6 +199,16 @@ class TestHausdorffCheck:
         assert not hausdorff_check(bad).passed
         escaping = MomentSequence((1.0, 1.2), support_length=1.0, origin=0.0)
         assert not hausdorff_check(escaping).passed
+
+    def test_default_threshold_is_spectral_norm(self):
+        rng = np.random.default_rng(61)
+        for n in range(1, 9):
+            s = MomentSequence(tuple(rng.uniform(-3, 5, size=n + 1) * 10.0 ** rng.integers(-4, 5)),
+                               support_length=1.3, origin=0.0)
+            mats = [mat for _, mat in _psd_conditions(s) if mat.size]
+            for check, mat in zip(hausdorff_check(s).conditions, mats):
+                norm = max(1.0, np.linalg.norm(mat, 2))
+                assert check.threshold == pytest.approx(1e-10 * norm, rel=1e-12)
 
     @pytest.mark.parametrize("n", range(6))
     def test_condition_matrices(self, n):
