@@ -238,8 +238,9 @@ def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
     rows = [[float(x), float(det), is_positive_definite(h, tol)]
             for x, det, h in zip(xs, np.linalg.det(mats), mats)]
 
-    # Refined abscissae where the determinant changes sign, by secant steps from the cell ends.
-    det_at = lambda x: (float(np.linalg.det(hankel_matrix(ev, k, x).entries)),)
+    # Refined abscissae where the determinant changes sign, by secant steps from the cell
+    # ends; a probe returns one determinant per abscissa.
+    det_at = lambda ts: np.linalg.det([hankel_matrix(ev, k, x).entries for x in ts])[:, None]
     sign_changes = [_refine_sign_change(det_at, x0, x1, (d0,), (d1,))
                     for (x0, d0, _), (x1, d1, _) in zip(rows, rows[1:])
                     if (d0 < 0.0) != (d1 < 0.0)]

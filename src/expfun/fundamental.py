@@ -20,10 +20,11 @@ coefficients with those powers, before one stacked solve and the squarings:
   Quadrature nodes and the single-point functions use it:
   ``eval_derivative`` and ``basis`` read one row of it.
 * ``derivative_grid`` takes a uniform grid ``linspace(lo, hi, count)`` and
-  writes every point as the product of three exponentials, an anchor, a
-  coarse and a fine offset, so about 3 cbrt(count) exponentials serve the
-  whole grid, and two BLAS matrix products per side of 0 apply them.  The
-  CLI ``eval``, ``hankel`` and ``turan`` tables use it.
+  writes every point as the product of four exponentials, an anchor and
+  three offsets, so about 4 count**(1/4) exponentials serve the whole grid
+  (29 for 4096 points on one side of 0), and three BLAS matrix products per
+  side of 0 apply them.  The CLI ``eval``, ``hankel`` and ``turan`` tables
+  use it.
 
 Both read the orders off the last column c of each exponential as
 (e_0 Z**j) . c, with the rows e_0 Z**j from a bidiagonal recurrence once per
@@ -32,12 +33,12 @@ rows they apply: ``_table`` for given abscissae and ``_grid`` for a uniform
 grid.  ``_table`` also serves ``eval_derivative_complex``, which skips the
 real projection, and ``_grid``'s one-point grids.  Sign scans
 (``verify_sign``) pass only the three orders they read to ``_grid``, and
-refine a sign change on one-point grids of the same rows.  The table
-applies the rows to every point's finished column with
-``einsum``, so that a row does not depend on the other abscissae of the
-call.  The grid makes no such promise: it folds the rows into its fine
+refine a sign change by ``_table`` calls on the same rows, two abscissae
+at a time.  The table applies the rows to every point's finished column
+with ``einsum``, so that a row does not depend on the other abscissae of
+the call.  The grid makes no such promise: it folds the rows into its fine
 factors, e_0 Z**j expm(r*h*Z), and applies those with a BLAS product to
-the columns the coarse factors give, so it never forms one column per
+the columns the other factors give, so it never forms one column per
 point.
 
 Two independent evaluation routes, a partial-fraction sum (distinct
@@ -303,42 +304,43 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     """Derivatives 0..max_order on the uniform grid ``np.linspace(lo, hi, count)``.
 
     Returns, up to rounding, what ``derivative_table(ev, np.linspace(lo, hi,
-    count), max_order)`` returns, from about 3 cbrt(count) matrix
-    exponentials instead of count: 46 for 4096 points on one side of 0.  A
+    count), max_order)`` returns, from about 4 count**(1/4) matrix
+    exponentials instead of count: 29 for 4096 points on one side of 0.  A
     grid with lo == hi or count == 1 is one abscissa, evaluated once and
     repeated.  Otherwise the grid is split at 0 and each side is cut, outward
-    from 0, into blocks of s**2 points, s = ceil(cbrt(side count)).  With h
-    the grid step, signed like the side, point q*s + r of a block
-    (0 <= q, r < s) is the block's anchor (the block point nearest 0, a
-    ``linspace`` abscissa) plus (q*s + r)*h, so that
-    expm(x*Z) = expm(r*h*Z) @ expm(q*s*h*Z) @ expm(anchor*Z).  Only the
-    anchors, the s - 1 fine offsets r*h and the s - 1 coarse offsets q*s*h go
-    through the Pade kernel.  The rows e_0 Z**j are folded into the fine
-    factors first, giving the small stack e_0 Z**j expm(r*h*Z).  Then two
-    matrix products per side give every point's orders: the coarse factors
-    (identity first) applied to all anchor last columns give the columns at
-    the points anchor + q*s*h, which are true columns at grid points, and
-    the folded rows applied to those give the orders at every point.  Each
-    product is one BLAS call on the side's stacked factors, a chain has at
-    most three factors, and nothing drifts along the grid.  Working memory
-    is the count x (max_order+1) values and the columns at one point in s,
-    never count matrices, the count x (n+1) columns nor the s**2 offset
-    matrices.  Unlike ``derivative_table``, a row may depend on its
-    companions at rounding level, since a BLAS product may round a batch
+    from 0, into blocks of s**3 points, s = ceil(side count ** (1/4)).  With
+    h the grid step, signed like the side, point q2*s**2 + q1*s + r of a
+    block (digits 0 <= q2, q1, r < s) is the block's anchor (the block point
+    nearest 0, a ``linspace`` abscissa) plus (q2*s**2 + q1*s + r)*h, so that
+    expm(x*Z) = expm(r*h*Z) @ expm(q1*s*h*Z) @ expm(q2*s**2*h*Z) @
+    expm(anchor*Z).  Only the anchors and the s - 1 offsets q*s**k*h of each
+    level k = 0, 1, 2 go through the Pade kernel.  The rows e_0 Z**j are
+    folded into the fine factors (level 0) first, giving the small stack
+    e_0 Z**j expm(r*h*Z).  Then one matrix product per level gives every
+    point's orders: the level-2 factors (identity first) applied to all
+    anchor last columns, then the level-1 factors to those, give the columns
+    at the points anchor + (q2*s + q1)*s*h, which are true columns at grid
+    points, and the folded rows applied to those give the orders at every
+    point.  Each product is one BLAS call on the side's stacked factors, a
+    chain has at most four factors, and nothing drifts along the grid.
+    Working memory is the count x (max_order+1) values and the columns at
+    one point in s, never count matrices, the count x (n+1) columns nor the
+    s**3 offset matrices.  Unlike ``derivative_table``, a row may depend on
+    its companions at rounding level, since a BLAS product may round a batch
     differently from a single column.
 
     Error structure: no factor has a larger |abscissa|, hence no more
     squarings, than its point.  For real frequencies expm(t*Z) has entries of
-    the sign of t**(j-i), and the three factors share the sign of t, so every
+    the sign of t**(j-i), and the four factors share the sign of t, so every
     product sums terms of one sign and keeps the relative accuracy of a
     single exponential, also at the n-fold zero at the origin; folding the
     rows into the fine factor first leaves the bound of the contraction
-    unchanged, since the fine factor's terms and the coarse column's carry
-    that sign pattern.  Conjugate pairs carry no such sign structure; their
-    rows match ``derivative_table`` to rounding relative to the size of the
-    factors.  Row i is computed at anchor + r*h + q*s*h, each offset rounded
-    once, which agrees with ``linspace``'s abscissa to a few ulps of
-    max(|lo|, |hi|); it is exact at the anchors.
+    unchanged, since the fine factor's terms and the other factors' column
+    carry that sign pattern.  Conjugate pairs carry no such sign structure;
+    their rows match ``derivative_table`` to rounding relative to the size
+    of the factors.  Row i is computed at anchor + r*h + q1*s*h +
+    q2*s**2*h, each offset rounded once, which agrees with ``linspace``'s
+    abscissa to a few ulps of max(|lo|, |hi|); it is exact at the anchors.
 
     Raises ValueError for non-finite bounds, lo > hi, count < 1, a negative
     order, a vector that is not conjugate-closed, and abscissae beyond the
@@ -352,8 +354,8 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
           rows: np.ndarray) -> np.ndarray:
     """``derivative_grid`` for the given stack of rows e_0 Z**j: one value column per row.
 
-    ``verify_sign`` passes only the orders it reads, the same rows to its
-    scan and to the one-point grids that refine a sign change.  Raises as
+    ``verify_sign`` passes only the orders it reads, the same rows that it
+    passes to ``_table`` to refine a sign change.  Raises as
     ``derivative_grid`` does, except for the order, which ``_order_rows``
     checks.
     """
@@ -374,33 +376,37 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     step = (hi - lo) / (count - 1)
     split = int(np.searchsorted(xs, 0.0))
     # Each side: the slice of grid indices outward from 0, its length, and the abscissae
-    # of its anchors, fine and coarse offsets.  A coarse offset past the side's last point
-    # is left out (only a 2-point side has one), so no factor lies farther from 0 than
-    # the points it serves.
+    # of its anchors and of its offsets q*s**k*h, 0 < q < s, at levels k = 2, 1, 0.  An
+    # offset past the side's last point is left out (only a side with a single block
+    # has one), so no factor lies farther from 0 than the points it serves.
     sides = []
     for side, length, h in ((slice(split - 1, None, -1), split, -step),
                             (slice(split, None), count - split, step)):
         if length:
-            s = round(length ** (1 / 3))
-            s += s ** 3 < length
-            sides.append((side, length, (xs[side][::s * s], h * np.arange(1, s),
-                                         h * np.arange(s, min(s * s, length), s))))
+            s = round(length ** (1 / 4))
+            s += s ** 4 < length
+            sides.append((side, length, [xs[side][::s ** 3]] + [
+                h * np.arange(s ** k, min(s ** (k + 1), length), s ** k) for k in (2, 1, 0)]))
     ts = [t for *_, factors in sides for t in factors]
     parts = np.split(_exponentials(ev, np.concatenate(ts)), np.cumsum([len(t) for t in ts]))
     dim = len(ev.diagonal)
     out = np.empty((count, len(rows)))
     for i, (side, length, _) in enumerate(sides):
-        anchors, fine, coarse = parts[3 * i:3 * i + 3]
+        anchors, *offsets, fine = parts[4 * i:4 * i + 4]
         # Entry (i, r*K + j) of the folded fine factors is (e_0 Z**j F_r)[i], F_r the fine
         # factor r (identity first) and K the number of rows.
         folded = (_side_by_side(fine).reshape(dim, -1, dim) @ rows.T).reshape(dim, -1)
-        # Columns as rows, so that every reshape keeps memory order: anchor b times coarse
-        # factor q is row b*s + q, and its values under fine factor r are row
-        # b*s**2 + q*s + r, the point's index on the side.  The last block runs up to
-        # s**2 - 1 points past the side's end, whose values may overflow; they are dropped
-        # after the last product, and a kept value that overflowed is refused.
+        # Columns as rows, so that every reshape keeps memory order: a column at row c
+        # times offset factor q of the next level is row c*s + q, so after the two offset
+        # levels anchor b's column under digits q2, q1 is row (b*s + q2)*s + q1, and its
+        # values under fine factor r are row b*s**3 + q2*s**2 + q1*s + r, the point's
+        # index on the side.  The last block runs up to s**3 - 1 points past the side's
+        # end, whose values may overflow; they are dropped after the last product, and a
+        # kept value that overflowed is refused.
         with np.errstate(over="ignore", invalid="ignore"):
-            cols = (anchors[:, :, -1] @ _side_by_side(coarse)).reshape(-1, dim)
+            cols = anchors[:, :, -1]
+            for level in offsets:
+                cols = (cols @ _side_by_side(level)).reshape(-1, dim)
             values = (cols @ folded).reshape(-1, len(rows))[:length]
         out[side] = _project(_finite(values))
     return out

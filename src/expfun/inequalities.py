@@ -11,11 +11,14 @@ vectors.
 
 Sign changes, of a sampled derivative here and of a Hankel determinant in
 the CLI, are located by one bracketed refinement, ``_refine_sign_change``.
-It starts from the two samples around the change, takes safeguarded Newton
-steps on f/f' where the row carries the next two derivatives (secant steps
-where it does not), and falls back to bisection, so it returns a bracket of
-the same width as bisection would after a few evaluations instead of about
-25.
+It starts from the two samples around the change.  Where their rows carry
+the next two derivatives, the first target is the zero of the quintic
+Hermite interpolant of the two rows, and later ones safeguarded Newton
+steps on f/f' (secant steps where the rows carry f alone), with bisection
+as the fallback.  Each step probes a pair of abscissae a quarter tolerance
+either side of its target in one call, so a right target closes the
+bracket at once, and the refinement returns a bracket of the same width as
+bisection would after about one call instead of about 25.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .fundamental import (
     FundamentalEvaluator,
     _grid,
     _order_rows,
+    _project,
+    _table,
     build_evaluator,
     derivative_table,
     eval_derivative,  # unused here; bench/test_smoke.py checks that tracing rebinds this copy
@@ -59,6 +64,12 @@ BISECTION_XTOL = 1e-10
 
 #: Default number of grid samples for sign verification.
 DEFAULT_GRID = 4096
+
+#: Newton steps for the zero of the Hermite interpolant in ``_hermite_target``: enough
+#: to settle at a simple zero, too few at a multiple one, where the steps converge
+#: linearly and the interpolant is a poor model, so that the refinement's Newton steps
+#: on f/f' take over there.
+_HERMITE_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -118,8 +129,11 @@ def _step_target(x0: float, row0, x: float, row) -> float:
 
     Rows holding (f, f', f'') give a Newton step on f/f' from x, which stays
     quadratic at multiple zeros; rows holding f alone give the secant step
-    through (x0, f(x0)) and (x, f(x)).
+    through (x0, f(x0)) and (x, f(x)).  A probe at an exact zero is its own
+    target.
     """
+    if not row[0]:
+        return x
     if len(row) > 2:
         f, d1, d2 = float(row[0]), float(row[1]), float(row[2])
         den = d1 * d1 - f * d2
@@ -128,43 +142,93 @@ def _step_target(x0: float, row0, x: float, row) -> float:
     return x - float(row[0]) * (x - x0) / den if den else math.nan
 
 
-def _refine_sign_change(probe: Callable[[float], Sequence[float]], lo: float, hi: float,
+def _hermite_target(lo: float, hi: float, row_lo, row_hi) -> float:
+    """Zero in [lo, hi] of the quintic Hermite interpolant of (f, f', f'') at both ends, or NaN.
+
+    With h = hi - lo the interpolant is p(s) = sum_k c_k s**k on s in [0, 1],
+    and p(0) = f(lo).  Its zero is found by Newton steps on p from the end of
+    smaller |f|, a step that leaves the bracket of the flip of p < 0 being
+    replaced by bisection.  NaN when the steps have not settled to
+    BISECTION_XTOL/8 after ``_HERMITE_STEPS``: at a multiple zero they
+    converge only linearly, and there the quintic is a poor model of f.
+    """
+    h = hi - lo
+    f0, d0, e0 = (float(v) for v in row_lo[:3])
+    f1, d1, e1 = (float(v) for v in row_hi[:3])
+    c0, c1, c2 = f0, h * d0, h * h * e0 / 2
+    r0, r1, r2 = f1 - (c0 + c1 + c2), h * d1 - (c1 + 2 * c2), h * h * e1 / 2 - c2
+    c = (c0, c1, c2, 10 * r0 - 4 * r1 + r2, -15 * r0 + 7 * r1 - 2 * r2, 6 * r0 - 3 * r1 + r2)
+    a, b = 0.0, 1.0
+    s = a if abs(f0) <= abs(f1) else b
+    for _ in range(_HERMITE_STEPS):
+        p = dp = 0.0
+        for ck in reversed(c):
+            dp = dp * s + p
+            p = p * s + ck
+        if (p < 0.0) == (f0 < 0.0):
+            a = s
+        else:
+            b = s
+        step = p / dp if dp else math.nan
+        if not a <= s - step <= b:
+            step = s - 0.5 * (a + b)
+        s -= step
+        if abs(step) * h <= 0.125 * BISECTION_XTOL:
+            return lo + s * h
+    return math.nan
+
+
+def _refine_sign_change(probe: Callable[[Sequence[float]], Sequence], lo: float, hi: float,
                         row_lo, row_hi) -> float:
     """Narrow [lo, hi] around the flip of the predicate f < 0 and return the bracket's midpoint.
 
     ``row_lo`` and ``row_hi`` are the rows at the ends, the predicate taking
-    opposite states there; ``probe(x)`` returns the row at x.  The result is
-    the midpoint of a bracket no wider than ``BISECTION_XTOL`` that still
-    holds the flip, or of two adjacent floats where their spacing exceeds it.
+    opposite states there; ``probe(ts)`` returns the rows at the abscissae
+    ts, one per abscissa.  The result is the midpoint of a bracket no wider
+    than ``BISECTION_XTOL`` that still holds the flip, or of two adjacent
+    floats where their spacing exceeds it.
 
-    Steps follow ``_step_target`` from the last probe, the first one from the
-    end of smaller |f| at no evaluation cost.  As in ``rtsafe`` (Numerical
-    Recipes, section 9.4), a target outside the bracket, or a step longer
-    than half the step before the last, is replaced by bisection.
-    Targets are clamped to a margin of BISECTION_XTOL/2 (at least one float
-    spacing) inside the bracket.  So a target on an end is kept, and a converged
-    target, within the margin of the last probe, is probed one margin from
-    that end, just beyond the target, which closes the bracket when the
-    target was right.
+    Each step probes the pair t -/+ BISECTION_XTOL/4 around a target t in
+    one call, keeping only abscissae inside the bracket, so a target within
+    BISECTION_XTOL/4 of the flip closes the bracket in that call: a pair
+    whose two probes differ becomes the bracket, also where rounding noise
+    gives the cell further flips.  Where
+    both end rows carry (f, f', f''), the first target is the zero of their
+    quintic Hermite interpolant (``_hermite_target``), at no evaluation
+    cost; otherwise, or when that zero leaves the cell, the first target
+    and every later one follow ``_step_target`` from the probe nearest the
+    flip (the first from the end of smaller |f|).  As in ``rtsafe``
+    (Numerical Recipes, section 9.4), a later target outside the bracket, or
+    a step longer than half the step before the last, is replaced by
+    bisection.  Targets are clamped to a margin of BISECTION_XTOL/4 (at
+    least one float spacing) inside the bracket.
     """
     lo_negative = row_lo[0] < 0.0
     (x0, row0), (x, row) = sorted(((lo, row_lo), (hi, row_hi)), key=lambda end: -abs(end[1][0]))
-    margin = max(0.5 * BISECTION_XTOL, math.ulp(max(abs(lo), abs(hi))))
+    offset = 0.25 * BISECTION_XTOL
+    margin = max(offset, math.ulp(max(abs(lo), abs(hi))))
     older = last = hi - lo
+    t = _hermite_target(lo, hi, row_lo, row_hi) if len(row_lo) > 2 else math.nan
     while hi - lo > BISECTION_XTOL:
-        t = _step_target(x0, row0, x, row)
-        step = abs(t - x)
-        if not (lo <= t <= hi and step <= 0.5 * older):
-            t = 0.5 * (lo + hi)
+        if not lo <= t <= hi:
+            t = _step_target(x0, row0, x, row)
+            if not (lo <= t <= hi and abs(t - x) <= 0.5 * older):
+                t = 0.5 * (lo + hi)
         t = min(max(t, lo + margin), hi - margin)
         if not lo < t < hi:
             break  # lo and hi are adjacent floats
         older, last = last, abs(t - x)
-        x0, row0, x, row = x, row, t, probe(t)
-        if (row[0] < 0.0) == lo_negative:
-            lo = t
+        ts = sorted({p for p in (t - offset, t + offset) if lo < p < hi})
+        found = probe(ts)
+        lo_side = [(r[0] < 0.0) == lo_negative for r in found]
+        x0, row0 = x, row
+        if lo_side[0] != lo_side[-1]:
+            lo, hi = ts  # the pair holds a flip, and is no wider than BISECTION_XTOL
         else:
-            hi = t
+            k = -1 if lo_side[0] else 0
+            x, row = ts[k], found[k]
+            lo, hi = (x, hi) if lo_side[0] else (lo, x)
+        t = math.nan
     return 0.5 * (lo + hi)
 
 
@@ -176,11 +240,11 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     Samples the uniform grid of ``derivative_grid``, contracting only the
     orders m to m + 2; on a violation the report carries the first offending
     abscissa and the nearest sign change, refined by ``_refine_sign_change``
-    from the two grid rows around it, each further step costing one
-    evaluation of the same three orders at one point (about 3 on the
-    benchmark's scans).  With
-    ``sign=-1`` the check certifies nonpositivity.  A "nonnegative" status is
-    a grid certificate, not a proof.
+    from the two grid rows around it, each step costing one evaluation of
+    the same three orders at a pair of points (about 1 call per sign change
+    on the benchmark's scans).  With ``sign=-1`` the check certifies
+    nonpositivity.  A "nonnegative" status is a grid certificate, not a
+    proof.  ``tol`` must be finite and nonnegative; ValueError otherwise.
 
     The boundary's bracket holds the sign change of the computed Phi^(m),
     which can sit outside it where the slope is small against the value's
@@ -196,6 +260,8 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         raise ValueError("sign must be +1 or -1")
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
     rows = sign * _order_rows(ev.diagonal, m + 2)[m:]
     samples = _grid(ev, lo, hi, grid, rows)
@@ -216,7 +282,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         if not after.size:
             return SignReport("violated", witness, None, grid, sign)
         j = i + int(after[0])
-    probe = lambda x: _grid(ev, x, x, 1, rows)[0]
+    probe = lambda ts: _project(_table(ev, ts, rows))
     boundary = _refine_sign_change(probe, float(xs[j - 1]), float(xs[j]), samples[j - 1], samples[j])
     return SignReport("violated", witness, boundary, grid, sign)
 
@@ -426,11 +492,13 @@ class MonotonicityCertificate:
     ``derivative_zero`` holds a sign change of the computed Phi', which can
     lie farther from the true zero where Phi' cancels.  For [-93.03504499963121,
     -0.04451643050514944, -0.0015391044333304571] the zero is
-    78.29988519656305 (40-digit mpmath), while ``derivative_zero`` is
-    78.29988519665345, 9.0e-11 away; on 25 points spaced 5e-11 across the
-    zero the computed Phi' reads ``-++++++00+00-+-+++-------``: Phi' = l_0 Phi
-    + (...) cancels a term about 93 times the value, while its slope is set
-    by the frequency 0.0015.
+    78.29988519656305 (40-digit mpmath), and ``derivative_zero`` is
+    78.29988519658065, 1.8e-11 away, because the first pair of probes happens
+    to straddle it; on 25 points spaced 5e-11 across the zero the computed
+    Phi' reads ``-++++++00+00-+-+++-------``, so a bracket around any of its
+    flips, up to about 6e-10 from the zero, is an equally valid result: Phi'
+    = l_0 Phi + (...) cancels a term about 93 times the value, while its
+    slope is set by the frequency 0.0015.
     """
 
     kind: CertificateKind

@@ -535,9 +535,9 @@ class TestDerivativeGrid:
                 derivative_grid(wide, lo, hi, 4, 0)
 
     def test_exponential_count(self, monkeypatch):
-        # Per side of 0, s = ceil(cbrt(side length)): an anchor every s*s points,
-        # s - 1 fine and s - 1 coarse offsets.  4096 points on one side take
-        # 16 + 15 + 15 exponentials.
+        # Per side of 0, s = ceil(side length ** (1/4)): an anchor every s**3 points
+        # and s - 1 offsets at each of three levels.  4096 points on one side take
+        # 8 + 3 * 7 exponentials.
         seen = []
         exponentials = fundamental._exponentials
 
@@ -547,23 +547,23 @@ class TestDerivativeGrid:
 
         monkeypatch.setattr(fundamental, "_exponentials", counting)
         ev = build_evaluator([1.2, -1, 2.3, -2])
-        for lo, hi, count, expected in ((0.0, 5.0, 4096, 46), (-5.0, -0.5, 4096, 46),
-                                        (-0.16, 0.63, 4096, 70), (-1.0, 1.0, 4096, 74),
-                                        (0.0, 3.0, 512, 22)):
+        for lo, hi, count, expected in ((0.0, 5.0, 4096, 29), (-5.0, -0.5, 4096, 29),
+                                        (-0.16, 0.63, 4096, 47), (-1.0, 1.0, 4096, 48),
+                                        (0.0, 3.0, 512, 17)):
             seen.clear()
             derivative_grid(ev, lo, hi, count, 4)
             assert sum(seen) == expected, (lo, hi, count, seen)
 
     def test_matches_table_at_cube_boundaries(self):
-        # Side lengths at and just past s**3, and a side of 1 or 2 points (a
-        # 2-point side has no coarse offset) next to a long one.  The step a is
-        # a power of 2, so that linspace hits 0 exactly where it should.
+        # Side lengths at and just past s**3 and s**4, and a side of 1 or 2 points
+        # (a 2-point side has offsets at the fine level only) next to a long one.
+        # The step a is a power of 2, so that linspace hits 0 exactly where it should.
         vectors = ([-1.0, -2.0, 0.5, 1.5], twelve_frequency_vectors()[1], [-1, -1, -1, 2, 2])
         a = 2.0 ** -9
         for entries in vectors:
             ev = build_evaluator(entries)
             max_order = len(entries)
-            for count in (8, 9, 27, 28, 4097):
+            for count in (8, 9, 16, 17, 27, 28, 81, 82, 4097):
                 grids = [(0.5, 7.0), (-7.0, -0.5), (-a, a * (count - 2)), (-a * (count - 2), a),
                          (-a * (count - 1.5), a / 2)]
                 for lo, hi in grids:

@@ -113,6 +113,20 @@ class TestVerifySign:
         with pytest.raises(ValueError, match="finite"):
             verify_sign(ev, 2, 0.0, math.inf)
 
+    @pytest.mark.parametrize("lo, hi, tol", [
+        # Every sample of Phi for [-1, -2] is negative on [-3, -1]: NaN certified it.
+        (-3.0, -1.0, math.nan),
+        (-3.0, -1.0, math.inf),
+        (-3.0, -1.0, -math.inf),
+        # Phi > 0 on [0.5, 1]: a negative tol reported a violation with a boundary
+        # refined on a reversed cell.
+        (0.5, 1.0, -5.0),
+        (0.5, 1.0, -1e-300),
+    ])
+    def test_tolerance_must_be_finite_and_nonnegative(self, lo, hi, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_sign(build_evaluator([-1, -2]), 0, lo, hi, tol=tol)
+
     def test_matches_scan_of_full_grid(self):
         # verify_sign contracts only the orders m..m+2; a scan of the full
         # derivative_grid must give the same status and witness, and plain
@@ -152,23 +166,34 @@ class TestVerifySign:
 
 
 def count_tables(monkeypatch):
-    """Record the point count and the rows object of every _grid call made from inequalities."""
+    """Record every _grid scan and _table probe made from inequalities: kind, points, rows object."""
     calls = []
-    original = inequalities._grid
+    grid, table = inequalities._grid, inequalities._table
 
-    def counted(ev, lo, hi, count, rows):
-        calls.append((count, id(rows)))
-        return original(ev, lo, hi, count, rows)
+    def counted_grid(ev, lo, hi, count, rows):
+        calls.append(("grid", count, id(rows)))
+        return grid(ev, lo, hi, count, rows)
 
-    monkeypatch.setattr(inequalities, "_grid", counted)
+    def counted_table(ev, xs, rows):
+        calls.append(("table", len(xs), id(rows)))
+        return table(ev, xs, rows)
+
+    monkeypatch.setattr(inequalities, "_grid", counted_grid)
+    monkeypatch.setattr(inequalities, "_table", counted_table)
     return calls
 
 
 def assert_scan_then_probes(calls, grid, most):
-    """The first call scans the grid; the rest are one-point probes on the scan's rows."""
-    (count, rows), *probes = calls
-    assert count == grid
-    assert probes == [(1, rows)] * len(probes) and 1 <= len(probes) <= most
+    """The first call scans the grid; the rest are probes of one or two points on the scan's rows.
+
+    Returns the number of probe calls, which must lie in 1..most.
+    """
+    (kind, count, rows), *probes = calls
+    assert (kind, count) == ("grid", grid)
+    assert all(kind == "table" and points in (1, 2) and probe_rows == rows
+               for kind, points, probe_rows in probes), probes
+    assert 1 <= len(probes) <= most, probes
+    return len(probes)
 
 
 def bisection_oracle(ev, m, lo, hi, grid, tol=1e-10, sign=1):
@@ -188,29 +213,39 @@ def bisection_oracle(ev, m, lo, hi, grid, tol=1e-10, sign=1):
 
 
 class TestRefineSignChange:
-    @pytest.mark.parametrize("freqs, m, lo, hi, grid, sign, tol", [
-        ([-1, -2], 1, 0.0, 3.0, 4096, 1, 1e-10),
-        ([-1, -2], 2, 0.0, 3.0, 4096, 1, 1e-10),
-        ([1.5, -1.5], 0, -1.0, 1.0, 65, 1, 1e-10),
-        (PAIR_CHAIN_12, 6, -0.5, 0.5, 64, 1, 1e-10),
-        (PAIR_CHAIN_12, 6, -0.25, 1.0, 4096, 1, 1e-10),
+    # The last entry is the most probe calls allowed: each probes the pair t -/+ XTOL/4.
+    @pytest.mark.parametrize("freqs, m, lo, hi, grid, sign, tol, most", [
+        ([-1, -2], 1, 0.0, 3.0, 4096, 1, 1e-10, 1),
+        ([-1, -2], 2, 0.0, 3.0, 4096, 1, 1e-10, 1),
+        ([1.5, -1.5], 0, -1.0, 1.0, 65, 1, 1e-10, 1),
+        (PAIR_CHAIN_12, 6, -0.5, 0.5, 64, 1, 1e-10, 2),
+        (PAIR_CHAIN_12, 6, -0.25, 1.0, 4096, 1, 1e-10, 2),
         # The sample next to 0 is 5.6e-17: Phi' squared underflows there, so
         # the first step bisects and the Newton step after it must be kept.
-        (PAIR_CHAIN_12, 0, -0.3, 0.1, 65, 1, 0.0),
-        ([-1, -2], 1, 0.0, 3.0, 4096, -1, 1e-10),
-        ([1.5, -1.5], 0, -1.0, 1.0, 65, -1, 1e-10),
+        (PAIR_CHAIN_12, 0, -0.3, 0.1, 65, 1, 0.0, 3),
+        ([-1, -2], 1, 0.0, 3.0, 4096, -1, 1e-10, 1),
+        ([1.5, -1.5], 0, -1.0, 1.0, 65, -1, 1e-10, 1),
     ], ids=["simple_zero", "simple_zero_negative_start", "grid_root_at_origin",
             "fivefold_zero_between_samples", "fivefold_zero_on_sample",
             "elevenfold_zero_next_to_sample", "sign_minus_one", "sign_minus_one_root_at_origin"])
     def test_few_evaluations_and_bisection_bracket(self, monkeypatch, freqs, m, lo, hi, grid,
-                                                   sign, tol):
+                                                   sign, tol, most):
         ev = build_evaluator(freqs)
         oracle = bisection_oracle(ev, m, lo, hi, grid, tol, sign)
         calls = count_tables(monkeypatch)
         rep = verify_sign(ev, m, lo, hi, grid=grid, tol=tol, sign=sign)
         assert rep.status == "violated"
-        assert_scan_then_probes(calls, grid, 6)
+        assert_scan_then_probes(calls, grid, most)
         assert abs(rep.boundary - oracle) <= XTOL
+
+    def test_smooth_simple_zero_in_one_probe(self, monkeypatch):
+        # Phi' = 2e^(-2x) - e^(-x) for [-1, -2]: the quintic Hermite interpolant of the
+        # grid rows around log 2 puts the first target within XTOL/4 of it, so the
+        # first pair of probes closes the bracket.
+        calls = count_tables(monkeypatch)
+        rep = verify_sign(build_evaluator([-1, -2]), 1, 0.0, 3.0)
+        assert assert_scan_then_probes(calls, inequalities.DEFAULT_GRID, 1) == 1
+        assert abs(rep.boundary - math.log(2)) <= XTOL
 
     def test_bracket_of_adjacent_floats_far_from_origin(self):
         # Near 3e6 the float spacing is 4.7e-10, wider than the tolerance: the
@@ -224,8 +259,8 @@ class TestRefineSignChange:
         calls = count_tables(monkeypatch)
         cert = monotonicity_certificate([-1, -2])
         assert cert.derivative_zero == pytest.approx(math.log(2), abs=XTOL)
-        # The grid scan brackets the zero; only one-point probes refine it, eight here.
-        assert_scan_then_probes(calls, inequalities.DEFAULT_GRID, 8)
+        # The grid scan brackets the zero; only paired probes refine it, four calls here.
+        assert_scan_then_probes(calls, inequalities.DEFAULT_GRID, 4)
 
 
 class TestIdentityResidual:
