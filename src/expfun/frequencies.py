@@ -28,7 +28,7 @@ DEFAULT_MATCH_TOL = 1e-9
 IMAG_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequencyVector:
     """Ordered tuple of complex frequencies, repeated entries allowed.
 

@@ -8,12 +8,12 @@ Z**m @ expm(x*Z), where Z is the upper bidiagonal matrix carrying the
 frequencies on the diagonal and ones above it.  This representation needs no
 case analysis for repeated (confluent) frequencies.
 
-Two entry points tabulate the orders 0..m, both on one stacked Pade(13)
+Two entry points tabulate the orders 0..m, both on one stacked Taylor
 scaling-and-squaring kernel that takes a batch of abscissae and runs in real
 arithmetic when every frequency is real.  The evaluator stores the powers
-(Z/||Z||_2)**k, k = 0..13, once, so that the kernel builds the Pade
-numerator and denominator of every abscissa from one product of its
-coefficients with those powers, before one stacked solve and the squarings:
+(Z/||Z||_2)**k, k = 0..n+18, once, so that the kernel builds the Taylor
+polynomial of every scaled abscissa from one product of its coefficients
+with those powers, with no solve, before the squarings:
 
 * ``derivative_table`` takes any abscissae and spends one exponential per
   point, passing them to the kernel in slices of bounded working memory.
@@ -70,17 +70,17 @@ __all__ = [
 #: Relative bound on the imaginary residue tolerated before projecting to the reals.
 REAL_PROJECTION_TOL = 1e-9
 
-#: Largest spectral-norm bound for which the Pade(13) kernel is used unscaled.
-_THETA_13 = 5.371920351148152
+#: Largest |t| ||Z||_2 at which the Taylor kernel runs unscaled: theta_18, the
+#: largest theta whose backward-error series sum_k |c_k| theta**(k-1), with
+#: log(exp(-x) T_18(x)) = sum_k c_k x**k and T_18 the degree-18 Taylor
+#: polynomial of exp, stays within 2**-53 (Al-Mohy & Higham 2011).
+_THETA = 1.090863719290036
 
-#: Coefficients of A**k, k = 0..13, in the Pade(13) approximant q(A)**-1 p(A)
-#: of exp(A): the numerator p in row 0, the denominator q(A) = p(-A) in row 1.
-_PADE_13 = np.array((
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)) * np.array([[1.0], [-1.0]]) ** np.arange(14)
+#: Terms of the Taylor kernel past the highest power at which an entry of
+#: expm(t*Z) starts: entry (i, j) starts at power j - i <= n, so the degree
+#: n + 18 keeps 18 terms past every entry's first, a truncation of at most
+#: about theta**19/19! = 4e-17 of the entry's leading term t**(j-i)/(j-i)!.
+_TAYLOR_DEGREE = 18
 
 #: Refuse matrix exponentials whose scaling step would exceed 2**60.
 _MAX_SQUARINGS = 60
@@ -90,7 +90,7 @@ _MAX_SQUARINGS = 60
 _CHUNK_ENTRIES = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FundamentalEvaluator:
     """Precomputed state for evaluating derivatives of the fundamental solution.
 
@@ -99,9 +99,9 @@ class FundamentalEvaluator:
     when every frequency is real, and evaluation then runs in real
     arithmetic.  ``norm`` is the spectral norm nu of Z, which fixes the
     scaling depth at every abscissa.  ``powers`` is the read-only
-    (14, (n+1)**2) stack of the flattened powers (Z/nu)**k, k = 0..13, the
-    basis in which the Pade(13) kernel writes every matrix it needs; nu = 1
-    stands in when Z = 0, which happens only for the single frequency 0.
+    (n+19, (n+1)**2) stack of the flattened powers (Z/nu)**k, k = 0..n+18,
+    the basis in which the Taylor kernel writes every matrix; nu = 1 stands
+    in when Z = 0, which happens only for the single frequency 0.
     ``realify`` records whether the frequency vector is conjugate-closed, in
     which case values are projected onto the reals after an
     imaginary-residue check.
@@ -128,7 +128,7 @@ def build_evaluator(freq) -> FundamentalEvaluator:
     z = np.diag(diagonal) + np.diag(np.ones(len(diagonal) - 1), 1)
     norm = float(np.linalg.norm(z, 2))
     unit = z / (norm or 1.0)
-    powers = np.empty((_PADE_13.shape[1],) + z.shape, dtype=z.dtype)
+    powers = np.empty((len(z) + _TAYLOR_DEGREE,) + z.shape, dtype=z.dtype)
     powers[0] = np.eye(len(z))
     for k in range(1, len(powers)):
         powers[k] = powers[k - 1] @ unit
@@ -139,52 +139,58 @@ def build_evaluator(freq) -> FundamentalEvaluator:
 
 
 def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
-    """Scaling depth ceil(log2(|x| |Z|_2 / theta_13)) per abscissa, 0 within theta_13."""
-    depth = np.ceil(np.log2(np.maximum(np.abs(xs) * ev.norm, _THETA_13) / _THETA_13))
-    worst = depth.max(initial=0.0)
-    if worst > _MAX_SQUARINGS:
+    """Scaling depth ceil(log2(|x| |Z|_2 / theta)) per abscissa, 0 within theta.
+
+    The depth is read off the binary exponent of |x| |Z|_2 / theta, so it is
+    exact: a depth of d leaves |x| |Z|_2 / 2**d <= theta, and the guard
+    accepts |x| |Z|_2 = theta * 2**60 and refuses the next float above it,
+    as well as a product |x| |Z|_2 that overflows.
+    """
+    with np.errstate(over="ignore"):
+        scaled = np.abs(xs) * ev.norm / _THETA
+    mantissa, exponent = np.frexp(scaled)
+    depth = np.maximum(exponent - (mantissa == 0.5), 0)
+    if not scaled.max(initial=0.0) <= 2.0 ** _MAX_SQUARINGS:
+        worst = depth.max() if np.isfinite(scaled).all() else "inf"
         raise ValueError(
-            f"matrix exponential needs 2**{worst:.0f} scaling, beyond the 2**{_MAX_SQUARINGS} guard; "
+            f"matrix exponential needs 2**{worst} scaling, beyond the 2**{_MAX_SQUARINGS} guard; "
             "reduce |x| * max|frequency|"
         )
-    return depth.astype(int)
+    return depth
 
 
 def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     """expm(x*Z) for every abscissa x in the nonempty xs, stacked in the order of xs.
 
-    Each x is scaled to t = x / 2**depth, so that |t| nu <= theta_13 with nu
-    = ``ev.norm``, and the Pade(13) numerator and denominator are written in
-    the evaluator's power basis, p(t*Z) = sum_k b_k (t nu)**k (Z/nu)**k and
-    q(t*Z) = p(-t*Z): one product of the (2 len(xs), 14) coefficient array
-    with ``ev.powers`` builds both for every x, and one stacked solve gives
-    q**-1 p.  The product is stacked, one 1 x 14 by 14 x (n+1)**2 product
-    per matrix, because a single flat BLAS product rounds a row of a batch
-    differently from the same row alone, and ``derivative_table`` promises
-    that a row does not depend on the other abscissae of the call.
+    Each x is scaled to t = x / 2**depth, so that |t| nu <= theta with nu =
+    ``ev.norm``, and the Taylor polynomial of degree n + 18 is written in the
+    evaluator's power basis, sum_k (t nu)**k / k! (Z/nu)**k: one product of
+    the (len(xs), n + 19) coefficient array with ``ev.powers`` builds it for
+    every x, with no solve, and the squarings follow.  The product is
+    stacked, one 1 x (n + 19) by (n + 19) x (n+1)**2 product per matrix,
+    because a single flat BLAS product rounds a row of a batch differently
+    from the same row alone, and ``derivative_table`` promises that a row
+    does not depend on the other abscissae of the call.  At x = 0 (either
+    sign) the coefficients are 1, 0, 0, ..., so the matrix is the identity
+    exactly.
 
     Memory grows with the size of xs, which callers bound.  The abscissae
     are ordered by scaling depth, so that each squaring acts on the tail of
     the stack that still needs it; one scatter restores the order of xs.
-    Matrices are complex unless every frequency is real.  At x = 0 the
-    solve of b0*I against b0*I is off by an ulp, so those matrices are set
-    to the identity.
+    Matrices are complex unless every frequency is real.
     """
     squarings = _squarings(ev, xs)
     order = np.argsort(squarings, kind="stable")
     depth = squarings[order]
     t = xs[order] / 2.0 ** depth
     dim = len(ev.diagonal)
-    ident = np.eye(dim, dtype=ev.diagonal.dtype)
     terms = len(ev.powers)
-    scaled = np.vander(t * (ev.norm or 1.0), terms, increasing=True)
-    coeffs = (_PADE_13[:, None, :] * scaled).reshape(-1, 1, terms)
-    p, q = (coeffs @ ev.powers).reshape(2, len(xs), dim, dim)
-    r = np.linalg.solve(q, p)
+    coeffs = np.ones((len(xs), terms))
+    coeffs[:, 1:] = np.cumprod((t * (ev.norm or 1.0))[:, None] / np.arange(1, terms), axis=1)
+    r = (coeffs[:, None, :] @ ev.powers).reshape(len(xs), dim, dim)
     for level in range(depth[-1]):
         tail = r[np.searchsorted(depth, level, side="right"):]
         tail[...] = tail @ tail
-    r[t == 0.0] = ident
     mats = np.empty_like(r)
     mats[order] = r
     return mats
@@ -314,7 +320,7 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     nearest 0, a ``linspace`` abscissa) plus (q2*s**2 + q1*s + r)*h, so that
     expm(x*Z) = expm(r*h*Z) @ expm(q1*s*h*Z) @ expm(q2*s**2*h*Z) @
     expm(anchor*Z).  Only the anchors and the s - 1 offsets q*s**k*h of each
-    level k = 0, 1, 2 go through the Pade kernel.  The rows e_0 Z**j are
+    level k = 0, 1, 2 go through the Taylor kernel.  The rows e_0 Z**j are
     folded into the fine factors (level 0) first, giving the small stack
     e_0 Z**j expm(r*h*Z).  Then one matrix product per level gives every
     point's orders: the level-2 factors (identity first) applied to all

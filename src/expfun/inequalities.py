@@ -72,7 +72,7 @@ DEFAULT_GRID = 4096
 _HERMITE_STEPS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolynomialCoeffs:
     """Real polynomial a_0 + a_1 x + ... + a_d x**d by ascending coefficients."""
 
@@ -104,7 +104,7 @@ def as_polynomial(poly) -> PolynomialCoeffs:
     return PolynomialCoeffs(tuple(poly))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignReport:
     """Outcome of a sampled sign check.
 
@@ -338,7 +338,7 @@ def dominance_gap(ev: FundamentalEvaluator, poly, x: float) -> float:
     return _weighted_basis_sum(ev, poly, x) - poly(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HankelMatrix:
     """Symmetric Hankel-structured matrix of scaled derivative values.
 
@@ -469,7 +469,7 @@ class CertificateKind(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotonicityCertificate:
     """Certificate about derivative positivity of the fundamental solution on x > 0.
 
@@ -493,12 +493,11 @@ class MonotonicityCertificate:
     lie farther from the true zero where Phi' cancels.  For [-93.03504499963121,
     -0.04451643050514944, -0.0015391044333304571] the zero is
     78.29988519656305 (40-digit mpmath), and ``derivative_zero`` is
-    78.29988519658065, 1.8e-11 away, because the first pair of probes happens
-    to straddle it; on 25 points spaced 5e-11 across the zero the computed
-    Phi' reads ``-++++++00+00-+-+++-------``, so a bracket around any of its
-    flips, up to about 6e-10 from the zero, is an equally valid result: Phi'
-    = l_0 Phi + (...) cancels a term about 93 times the value, while its
-    slope is set by the frequency 0.0015.
+    78.29988519664343, 8.0e-11 away; on 25 points spaced 5e-11 across the
+    zero the computed Phi' reads ``+++++++0+-++++00+-0-0----``, so a bracket
+    around any of its flips, up to about 2.5e-10 from the zero, is an
+    equally valid result: Phi' = l_0 Phi + (...) cancels a term about 93
+    times the value, while its slope is set by the frequency 0.0015.
     """
 
     kind: CertificateKind

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measure:
     """Nonnegative measure on a compact interval: weighted atoms or a density."""
 
@@ -77,7 +77,7 @@ class Measure:
         return cls(kind="density", support=tuple(support), density=density)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentSequence:
     """Transformed sequence s_0..s_n with its interval geometry.
 
@@ -182,7 +182,7 @@ def riesz_functional(s: MomentSequence, poly) -> float:
     return float(sum(a * s.values[k] for k, a in enumerate(poly.coeffs) if a != 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionCheck:
     label: str
     min_eigenvalue: float
@@ -190,7 +190,7 @@ class ConditionCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HausdorffReport:
     """Per-matrix positive-semidefiniteness results for the interval conditions."""
 

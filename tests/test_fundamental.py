@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -234,9 +235,11 @@ class TestGuards:
         assert abs(value - expected) <= 1e-12
 
     def test_overflow_guard(self):
+        # At 1e308 the product |x| |Z|_2 itself overflows.
         ev = build_evaluator([40.0, -40.0])
-        with pytest.raises(ValueError):
-            eval_derivative(ev, 0, 1e18)
+        for x in (1e18, 1e308, -1e308):
+            with pytest.raises(ValueError, match="2\\*\\*60 guard"):
+                eval_derivative(ev, 0, x)
 
     def test_negative_order_rejected(self):
         ev = build_evaluator([-1, -2])
@@ -346,17 +349,19 @@ class TestExponentialsOracle:
     def test_every_entry(self, name):
         entries = EXPM_VECTORS[name]
         ev = build_evaluator(entries)
-        # x = 0, then one abscissa of each sign at every scaling depth 0..5.
-        unit = fundamental._THETA_13 / (ev.norm or 1.0)
-        xs = np.array([0.0] + [s * unit * (0.5 if d == 0 else 0.75 * 2 ** d)
-                               for d in range(6) for s in (1, -1)])
-        depths = [0] + [d for d in range(6) for _ in "+-"] if ev.norm else [0] * len(xs)
+        # x = 0 of either sign, then one abscissa of each sign at every scaling depth 0..8.
+        unit = fundamental._THETA / (ev.norm or 1.0)
+        xs = np.array([0.0, -0.0] + [s * unit * (0.5 if d == 0 else 0.75 * 2 ** d)
+                                     for d in range(9) for s in (1, -1)])
+        depths = [0, 0] + [d for d in range(9) for _ in "+-"] if ev.norm else [0] * len(xs)
         assert fundamental._squarings(ev, xs).tolist() == depths
         mats = fundamental._exponentials(ev, xs)
         assert mats.dtype == (np.complex128 if name == "pairs" else np.float64)
+        # The Taylor coefficients at 0 are 1, 0, 0, ...: the identity exactly.
         assert np.array_equal(mats[0], np.eye(len(entries)))
+        assert np.array_equal(mats[1], np.eye(len(entries)))
         upper = np.triu_indices(len(entries))
-        for x, mat in zip(xs[1:], mats[1:]):
+        for x, mat in zip(xs[2:], mats[2:]):
             ref = np.array(expm_via_mpmath(entries, x))
             err = np.abs(mat - ref)
             # Each column within 1e-12 of its largest reference entry.
@@ -367,6 +372,49 @@ class TestExponentialsOracle:
                 # x**(j-i), and keeps its relative accuracy.
                 rel = err[upper] / np.abs(ref[upper])
                 assert np.all(rel <= 1e-12), (x, rel.max())
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_every_entry_near_the_origin(self, sign):
+        # At |x| nu = theta / 2 the corner entry is about x**11 / 11!; a Taylor
+        # polynomial of fixed degree 18 gives it only 8 terms, the kernel's
+        # degree n + 18 gives every entry 19.
+        entries = EXPM_VECTORS["real"]
+        ev = build_evaluator(entries)
+        x = sign * fundamental._THETA / (2 * ev.norm)
+        mat = fundamental._exponentials(ev, np.array([x]))[0]
+        ref = np.array(expm_via_mpmath(entries, x)).real
+        upper = np.triu_indices(len(entries))
+        rel = np.abs(mat - ref)[upper] / np.abs(ref[upper])
+        assert np.all(rel <= 1e-13), rel.max()
+
+    def test_theta_is_the_degree_18_bound(self):
+        # theta_18: the largest theta with sum_k |c_k| theta**(k-1) <= 2**-53, where
+        # log(exp(-x) T_18(x)) = sum_k c_k x**k.  exp(-x) T_m(x) = 1 + sum_{k>m} g_k x**k
+        # with g_k = (-1)**(k+m) C(k-1, m) / k!, and the log's coefficients follow from
+        # k c_k = k g_k - sum_{0<j<k} j c_j g_{k-j}.  80 terms settle all 60 digits.
+        m, terms = 18, 80
+        with mpmath.workdps(60):
+            g = [mpmath.mpf(0)] * terms
+            for k in range(m + 1, terms):
+                g[k] = (-1) ** (k + m) * mpmath.binomial(k - 1, m) / mpmath.factorial(k)
+            c = [mpmath.mpf(0)] * terms
+            for k in range(1, terms):
+                c[k] = g[k] - mpmath.fsum(j * c[j] * g[k - j] for j in range(1, k)) / k
+            theta = mpmath.findroot(
+                lambda th: mpmath.fsum(abs(c[k]) * th ** (k - 1) for k in range(1, terms))
+                - mpmath.mpf(2) ** -53, 1.0)
+            assert fundamental._THETA <= theta and theta - fundamental._THETA <= 1e-6
+
+    def test_guard_threshold_is_exact(self):
+        # The single frequency 1 has |Z|_2 = 1, so |x| nu is x itself.
+        ev = build_evaluator([1.0])
+        assert ev.norm == 1.0
+        edge = fundamental._THETA * 2.0 ** fundamental._MAX_SQUARINGS
+        assert fundamental._squarings(ev, np.array([edge, -edge])).tolist() == [60, 60]
+        past = np.nextafter(edge, math.inf)
+        for x in (past, -past):
+            with pytest.raises(ValueError, match="2\\*\\*61 scaling, beyond the 2\\*\\*60 guard"):
+                fundamental._squarings(ev, np.array([x]))
 
 
 class TestDerivativeTable:
@@ -527,8 +575,9 @@ class TestDerivativeGrid:
             derivative_grid(pair, 0.3, 5.0, 50, 2)
 
     def test_guard_covers_offset_points(self):
-        # Four points on one side make one block: the anchor 0 and the offsets
-        # 6.7e16 and 1.3e17 stay within 2**60, the endpoint 2e17 does not.
+        # Four points on one side make one block: the anchor 0, the offsets 6.7e16
+        # and 1.3e17 and the endpoint 2e17.  With |Z|_2 = 40.5 the guard refuses
+        # |x| past 3.1e16, so the offsets lie past it as well as the endpoint.
         wide = build_evaluator([40.0, -40.0])
         for lo, hi in ((0.0, 2e17), (-2e17, 0.0)):
             with pytest.raises(ValueError, match="2\\*\\*60 guard"):
