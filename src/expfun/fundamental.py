@@ -101,7 +101,8 @@ class FundamentalEvaluator:
     scaling depth at every abscissa.  ``powers`` is the read-only
     (n+19, (n+1)**2) stack of the flattened powers (Z/nu)**k, k = 0..n+18,
     the basis in which the Taylor kernel writes every matrix; nu = 1 stands
-    in when Z = 0, which happens only for the single frequency 0.
+    in for these powers when Z = 0, which happens only for the single
+    frequency 0, while ``norm`` stays 0.
     ``realify`` records whether the frequency vector is conjugate-closed, in
     which case values are projected onto the reals after an
     imaginary-residue check.
@@ -142,21 +143,35 @@ def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     """Scaling depth ceil(log2(|x| |Z|_2 / theta)) per abscissa, 0 within theta.
 
     The depth is read off the binary exponent of |x| |Z|_2 / theta, so it is
-    exact: a depth of d leaves |x| |Z|_2 / 2**d <= theta, and the guard
+    exact: a depth of d leaves |x| |Z|_2 / 2**d <= theta.  The guard
+    (``_guard``) runs first and reads only the largest |x|: rounding is
+    monotone, so that abscissa has the largest |x| |Z|_2 / theta.  It
     accepts |x| |Z|_2 = theta * 2**60 and refuses the next float above it,
-    as well as a product |x| |Z|_2 that overflows.
+    as well as a product |x| |Z|_2 that overflows; once it has passed, no
+    product overflows, so the depths are formed without ``np.errstate``.
     """
-    with np.errstate(over="ignore"):
-        scaled = np.abs(xs) * ev.norm / _THETA
-    mantissa, exponent = np.frexp(scaled)
-    depth = np.maximum(exponent - (mantissa == 0.5), 0)
-    if not scaled.max(initial=0.0) <= 2.0 ** _MAX_SQUARINGS:
-        worst = depth.max() if np.isfinite(scaled).all() else "inf"
+    size = np.abs(xs)
+    _guard(ev, np.maximum.reduce(size, initial=0.0))
+    mantissa, exponent = np.frexp(size * ev.norm / _THETA)
+    return np.maximum(exponent - (mantissa == 0.5), 0)
+
+
+def _guard(ev: FundamentalEvaluator, size: float) -> None:
+    """Refuse an abscissa of modulus ``size`` whose depth would pass the 2**60 guard.
+
+    The test runs on one Python float, whose product overflows to inf
+    without a warning, so callers need no ``np.errstate``.
+    """
+    scaled = float(size) * ev.norm / _THETA
+    if not scaled <= 2.0 ** _MAX_SQUARINGS:
+        worst = "inf"
+        if math.isfinite(scaled):
+            mantissa, exponent = math.frexp(scaled)
+            worst = exponent - (mantissa == 0.5)
         raise ValueError(
             f"matrix exponential needs 2**{worst} scaling, beyond the 2**{_MAX_SQUARINGS} guard; "
             "reduce |x| * max|frequency|"
         )
-    return depth
 
 
 def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
@@ -171,26 +186,38 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     because a single flat BLAS product rounds a row of a batch differently
     from the same row alone, and ``derivative_table`` promises that a row
     does not depend on the other abscissae of the call.  At x = 0 (either
-    sign) the coefficients are 1, 0, 0, ..., so the matrix is the identity
-    exactly.
+    sign), and at every x when Z = 0 (the single frequency 0, nu = 0), the
+    coefficients are 1, 0, 0, ..., so the matrix is the identity exactly.
 
-    Memory grows with the size of xs, which callers bound.  The abscissae
-    are ordered by scaling depth, so that each squaring acts on the tail of
-    the stack that still needs it; one scatter restores the order of xs.
-    Matrices are complex unless every frequency is real.
+    Memory grows with the size of xs, which callers bound.  Where the depths
+    differ, that is for more than one abscissa with some depth above 0, the
+    abscissae are ordered by depth, so that each squaring acts on the tail
+    of the stack that still needs it, and one scatter restores the order of
+    xs; otherwise every matrix takes the same squarings in place.  The
+    starts of all the tails come from one ``searchsorted``.  Matrices are
+    complex unless every frequency is real.
     """
-    squarings = _squarings(ev, xs)
-    order = np.argsort(squarings, kind="stable")
-    depth = squarings[order]
-    t = xs[order] / 2.0 ** depth
+    depth = _squarings(ev, xs)
+    order = None
+    if len(xs) > 1 and depth.any():
+        order = np.argsort(depth, kind="stable")
+        depth, xs = depth[order], xs[order]
+    t = xs / 2.0 ** depth
     dim = len(ev.diagonal)
     terms = len(ev.powers)
     coeffs = np.ones((len(xs), terms))
-    coeffs[:, 1:] = np.cumprod((t * (ev.norm or 1.0))[:, None] / np.arange(1, terms), axis=1)
+    np.multiply.accumulate((t * ev.norm)[:, None] / np.arange(1, terms), axis=1,
+                           out=coeffs[:, 1:])
     r = (coeffs[:, None, :] @ ev.powers).reshape(len(xs), dim, dim)
-    for level in range(depth[-1]):
-        tail = r[np.searchsorted(depth, level, side="right"):]
+    if order is None:
+        starts = [0] * int(depth[-1])
+    else:
+        starts = np.searchsorted(depth, np.arange(depth[-1]), side="right").tolist()
+    for start in starts:
+        tail = r[start:]
         tail[...] = tail @ tail
+    if order is None:
+        return r
     mats = np.empty_like(r)
     mats[order] = r
     return mats
@@ -207,9 +234,9 @@ def _order_rows(diag: np.ndarray, max_order: int) -> np.ndarray:
         raise ValueError("derivative order must be nonnegative")
     rows = np.zeros((max_order + 1, len(diag)), dtype=diag.dtype)
     rows[0, 0] = 1.0
-    for j in range(1, max_order + 1):
-        rows[j] = diag * rows[j - 1]
-        rows[j, 1:] += rows[j - 1, :-1]
+    for prev, row in zip(rows, rows[1:]):
+        np.multiply(diag, prev, out=row)
+        np.add(row[1:], prev[:-1], out=row[1:])
     return rows
 
 
@@ -243,16 +270,24 @@ def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
 
 
 def _project(values: np.ndarray) -> np.ndarray:
-    """Real part of values after checking every imaginary residue."""
+    """Real part of values after checking every imaginary residue against TOL * (1 + |v|).
+
+    The check first reads the parts alone, |Im| > TOL * (1 + |Re|), and
+    takes the complex modulus only where that flags a value: since |v| >=
+    |Re|, also after rounding, a value that passes the first test passes the
+    second, so the verdict is that of the second test alone.
+    """
     if not np.iscomplexobj(values):
         return values
-    bad = np.abs(values.imag) > REAL_PROJECTION_TOL * (1.0 + np.abs(values))
-    if bad.any():
-        raise ArithmeticError(
-            f"value {complex(values[bad][0])!r} has a material imaginary part although "
-            "the frequency vector is conjugate-closed; evaluation is numerically "
-            "unreliable here"
-        )
+    size = np.abs(values.imag)
+    if (size > REAL_PROJECTION_TOL * (1.0 + np.abs(values.real))).any():
+        bad = size > REAL_PROJECTION_TOL * (1.0 + np.abs(values))
+        if bad.any():
+            raise ArithmeticError(
+                f"value {complex(values[bad][0])!r} has a material imaginary part although "
+                "the frequency vector is conjugate-closed; evaluation is numerically "
+                "unreliable here"
+            )
     return values.real
 
 
@@ -274,21 +309,24 @@ def _table(ev: FundamentalEvaluator, xs, rows: np.ndarray) -> np.ndarray:
     """Values of the given stack of rows e_0 Z**j at the abscissae xs: one value column per row.
 
     The counterpart of ``_grid`` for any abscissae: one exponential per
-    point, passed to the kernel in slices of ``_CHUNK_ENTRIES`` matrix
-    entries, with the rows applied to each finished last column by
-    ``_orders``.  The values are not projected, so they are complex when the
-    diagonal is.  Raises ValueError for abscissae that do not form a finite
-    one-dimensional sequence or lie beyond the squaring guard, and
+    point, with the rows applied to each finished last column by
+    ``_orders``.  Abscissae that fit one slice of ``_CHUNK_ENTRIES`` matrix
+    entries, as every single-point query and refinement probe does, go to
+    the kernel in one call; more are passed in such slices, written into one
+    output array.  The values are not projected, so they are complex when
+    the diagonal is.  Raises ValueError for abscissae that do not form a
+    finite one-dimensional sequence or lie beyond the squaring guard, and
     OverflowError for a value that is not finite.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("abscissae must form a one-dimensional sequence")
-    finite = np.isfinite(xs)
-    if not finite.all():
-        raise ValueError(f"abscissae must be finite, got x={float(xs[~finite][0])!r}")
-    out = np.empty((len(xs), len(rows)), dtype=ev.diagonal.dtype)
+    if not np.isfinite(xs).all():
+        raise ValueError(f"abscissae must be finite, got x={float(xs[~np.isfinite(xs)][0])!r}")
     step = max(1, _CHUNK_ENTRIES // len(ev.diagonal) ** 2)
+    if 0 < len(xs) <= step:
+        return _orders(_exponentials(ev, xs)[:, :, -1], rows)
+    out = np.empty((len(xs), len(rows)), dtype=ev.diagonal.dtype)
     for lo in range(0, len(xs), step):
         out[lo:lo + step] = _orders(_exponentials(ev, xs[lo:lo + step])[:, :, -1], rows)
     return out
@@ -299,10 +337,16 @@ def _side_by_side(factors: np.ndarray) -> np.ndarray:
 
     A row vector c^T times it is [c^T, (F_1 c)^T, (F_2 c)^T, ...]: one BLAS
     product applies every factor, and the identity, to many columns at once.
+    The factors, identity first, fill one preallocated stack, and the result
+    is its transposed view, not a C-contiguous copy: the layout of an
+    operand decides how BLAS rounds a product.
     """
-    dim = factors.shape[-1]
-    ident = np.eye(dim, dtype=factors.dtype)[None]
-    return np.concatenate([ident, factors]).transpose(2, 0, 1).reshape(dim, -1)
+    count, dim, _ = factors.shape
+    stack = np.empty((count + 1, dim, dim), dtype=factors.dtype)
+    stack[0] = 0.0
+    stack[0].reshape(-1)[::dim + 1] = 1.0
+    stack[1:] = factors
+    return stack.transpose(2, 0, 1).reshape(dim, -1)
 
 
 def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
@@ -353,32 +397,37 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     squaring guard; ArithmeticError for a material imaginary residue, and
     OverflowError for a value that is not finite.
     """
-    return _grid(ev, lo, hi, count, _order_rows(ev.diagonal, max_order))
+    return _grid(ev, lo, hi, count, _order_rows(ev.diagonal, max_order))[1]
 
 
 def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
-          rows: np.ndarray) -> np.ndarray:
-    """``derivative_grid`` for the given stack of rows e_0 Z**j: one value column per row.
+          rows: np.ndarray) -> tuple:
+    """``derivative_grid`` for the given stack of rows e_0 Z**j: the abscissae and the values.
 
-    ``verify_sign`` passes only the orders it reads, the same rows that it
-    passes to ``_table`` to refine a sign change.  Raises as
-    ``derivative_grid`` does, except for the order, which ``_order_rows``
-    checks.
+    Returns ``(xs, values)``: xs is the grid ``np.linspace(lo, hi, count)``
+    that the values sample, one value column per row, so that a caller
+    reads the abscissae without forming the grid again.  ``verify_sign``
+    passes only the orders it reads, the same rows that it passes to
+    ``_table`` to refine a sign change.  The bounds are checked before any
+    abscissa is formed.  Raises as ``derivative_grid`` does, except for the
+    order, which ``_order_rows`` checks.
     """
     _require_conjugate_closed(ev)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid bounds must be finite, got [{lo!r}, {hi!r}]")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo!r}, {hi!r}]")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"grid width hi - lo overflows the float range, got [{lo!r}, {hi!r}]")
     if count < 1:
         raise ValueError(f"need at least one grid point, got count={count!r}")
     xs = np.linspace(lo, hi, count)
     if lo == hi or count == 1:
         # One abscissa, possibly repeated: a zero offset would only add rounding.
-        return np.repeat(_project(_table(ev, xs[:1], rows)), count, axis=0)
+        return xs, np.repeat(_project(_table(ev, xs[:1], rows)), count, axis=0)
     # The 2**60 guard on every abscissa, not only on the factors: depth grows with |x|,
     # so the two ends decide it.
-    _squarings(ev, xs[[0, -1]])
+    _guard(ev, max(abs(lo), abs(hi)))
     step = (hi - lo) / (count - 1)
     split = int(np.searchsorted(xs, 0.0))
     # Each side: the slice of grid indices outward from 0, its length, and the abscissae
@@ -394,7 +443,11 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
             sides.append((side, length, [xs[side][::s ** 3]] + [
                 h * np.arange(s ** k, min(s ** (k + 1), length), s ** k) for k in (2, 1, 0)]))
     ts = [t for *_, factors in sides for t in factors]
-    parts = np.split(_exponentials(ev, np.concatenate(ts)), np.cumsum([len(t) for t in ts]))
+    mats = _exponentials(ev, np.concatenate(ts))
+    parts, start = [], 0
+    for t in ts:
+        parts.append(mats[start:start + len(t)])
+        start += len(t)
     dim = len(ev.diagonal)
     out = np.empty((count, len(rows)))
     for i, (side, length, _) in enumerate(sides):
@@ -415,7 +468,7 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
                 cols = (cols @ _side_by_side(level)).reshape(-1, dim)
             values = (cols @ folded).reshape(-1, len(rows))[:length]
         out[side] = _project(_finite(values))
-    return out
+    return xs, out
 
 
 def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> complex:

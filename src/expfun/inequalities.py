@@ -264,8 +264,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
     rows = sign * _order_rows(ev.diagonal, m + 2)[m:]
-    samples = _grid(ev, lo, hi, grid, rows)
-    xs = np.linspace(lo, hi, grid)
+    xs, samples = _grid(ev, lo, hi, grid, rows)
     vals = samples[:, 0]
     bad = np.flatnonzero(vals < -tol)
     if bad.size == 0:
@@ -423,8 +422,10 @@ def polynomial_nonnegative_on(poly, lo: float, hi: float) -> bool:
     Checks 1024 Chebyshev points, both endpoints, and the real critical
     points inside the interval, each against -1e-12.  Callers who construct
     their polynomial as a square can skip this and assert nonnegativity
-    themselves.
+    themselves.  Raises ValueError for bounds that are not finite.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
     poly = as_polynomial(poly)
     nodes = np.cos(np.pi * (2 * np.arange(1024) + 1) / 2048)
     xs = list(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)) + [lo, hi]

@@ -270,6 +270,19 @@ class TestGuards:
                 pytest.raises(OverflowError, match="not finite"):
             derivative_grid(ev, 0.70, 0.712, count, 0)
 
+    def test_single_zero_frequency_at_large_abscissae(self):
+        # Phi = 1 for the single frequency 0, whose Z = 0 has norm 0 and depth 0
+        # everywhere; Taylor coefficients built from |x| instead of |x| nu overflowed,
+        # and inf * 0 made the value NaN, from |x| of about 1e20 on.
+        ev = build_evaluator([0.0])
+        xs = [1e20, -1e20, 1e300, -1e308, 1.7976931348623157e308]
+        assert derivative_table(ev, xs, 2).tolist() == [[1.0, 0.0, 0.0]] * len(xs)
+        for x in xs:
+            assert eval_derivative(ev, 0, x) == 1.0 and basis(ev, 0, x) == 1.0
+        assert np.array_equal(fundamental._exponentials(ev, np.array(xs)), np.ones((len(xs), 1, 1)))
+        assert np.array_equal(derivative_grid(ev, 0.0, 1e308, 64, 0), np.ones((64, 1)))
+        assert np.array_equal(derivative_grid(ev, -8e307, 8e307, 64, 1), [[1.0, 0.0]] * 64)
+
     def test_overflowing_padding_does_not_warn(self):
         # 65 points form blocks of 25: the last block's padding runs to 0.82,
         # where e^(1000 x) overflows, while every kept value stays below 1.7e305.
@@ -387,6 +400,31 @@ class TestExponentialsOracle:
         rel = np.abs(mat - ref)[upper] / np.abs(ref[upper])
         assert np.all(rel <= 1e-13), rel.max()
 
+    @pytest.mark.parametrize("name", ["real", "pairs"])
+    def test_squares_each_matrix_depth_times(self, monkeypatch, name):
+        # Depths forced past the natural ones, unsorted, so that one squaring too many
+        # or too few gives expm(2xZ) or expm(xZ/2): every matrix still matches mpmath
+        # only if it is squared exactly its depth times, in a batch and alone.
+        entries = EXPM_VECTORS[name]
+        ev = build_evaluator(entries)
+        xs = np.array([2.0, 0.05, -1.0, 0.0, 4.0, -0.3])
+        forced = dict(zip(xs.tolist(), fundamental._squarings(ev, xs) + [0, 3, 1, 2, 0, 4]))
+        monkeypatch.setattr(fundamental, "_squarings",
+                            lambda ev, xs: np.array([forced[x] for x in xs.tolist()]))
+        batch = fundamental._exponentials(ev, xs)
+        for x, mat in zip(xs, batch):
+            alone = fundamental._exponentials(ev, np.array([x]))[0]
+            assert np.array_equal(alone, mat)
+            ref = np.array(expm_via_mpmath(entries, x))
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(np.abs(mat - ref) <= 1e-12 * scale), x
+        # A batch at depth 0 throughout is squared nowhere.
+        small = np.array([0.05, -0.02, 0.0])
+        forced.update({-0.02: 0, 0.05: 0})
+        for x, mat in zip(small, fundamental._exponentials(ev, small)):
+            ref = np.array(expm_via_mpmath(entries, x))
+            assert np.all(np.abs(mat - ref) <= 1e-12 * np.abs(ref).max(axis=0)), x
+
     def test_theta_is_the_degree_18_bound(self):
         # theta_18: the largest theta with sum_k |c_k| theta**(k-1) <= 2**-53, where
         # log(exp(-x) T_18(x)) = sum_k c_k x**k.  exp(-x) T_m(x) = 1 + sum_{k>m} g_k x**k
@@ -452,6 +490,41 @@ class TestDerivativeTable:
         row = derivative_table(ev, [1.3], 4)[0]
         for m in range(5):
             assert eval_derivative(ev, m, 1.3) == row[m]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_single_abscissa_is_its_batch_row_exactly(self, which):
+        # One abscissa goes to the kernel without an output buffer; its row must
+        # equal, bit for bit, its row in batches whose depths need sorting (one
+        # slice and several), and in a batch at depth 0 throughout.
+        ev = build_evaluator(twelve_frequency_vectors()[which])
+        rows = fundamental._order_rows(ev.diagonal, 13)
+        mixed = np.array([5.0, 0.01, -3.0, 0.7, 30.0, 0.0, -0.02, 2.5])
+        small = np.array([0.01, -0.02, 0.0, 0.005])
+        long = np.linspace(-20.0, 20.0, 61)
+        assert len(set(fundamental._squarings(ev, mixed))) >= 4
+        assert not fundamental._squarings(ev, small).any()
+        assert len(long) > fundamental._CHUNK_ENTRIES // len(ev.diagonal) ** 2
+        for xs in (mixed, small, long):
+            batch = fundamental._table(ev, xs, rows)
+            for x, row in zip(xs, batch):
+                assert np.array_equal(fundamental._table(ev, [x], rows)[0], row), x
+
+    def test_projection_reads_the_modulus_only_when_needed(self):
+        # |Im| is first compared with TOL * (1 + |Re|), then, where that flags a value,
+        # with TOL * (1 + |v|), which is larger; the verdict is the second test's.
+        tol = fundamental.REAL_PROJECTION_TOL
+        im = tol
+        while not im > tol * (1.0 + abs(complex(0.0, im))):
+            im = np.nextafter(im, 1.0)
+        passing, refused = np.nextafter(im, 0.0), im
+        assert passing > tol * (1.0 + 0.0)
+        values = np.array([0.25 + 1e-12j, complex(0.0, passing), complex(0.0, -passing)])
+        assert fundamental._project(values).tolist() == [0.25, 0.0, 0.0]
+        for bad in (refused, -refused, 2 * refused):
+            with pytest.raises(ArithmeticError, match="material imaginary part"):
+                fundamental._project(np.array([0.25 + 0j, complex(0.0, bad)]))
+        real = np.array([1.0, -2.0])
+        assert fundamental._project(real) is real
 
     def test_evaluators_compare_by_frequencies(self):
         ev = build_evaluator([-1, -2])
@@ -574,6 +647,14 @@ class TestDerivativeGrid:
         with pytest.raises(ArithmeticError, match="material imaginary part"):
             derivative_grid(pair, 0.3, 5.0, 50, 2)
 
+    def test_overflowing_width_refused(self):
+        # hi - lo overflows although both bounds are finite: refused by name before
+        # linspace forms an abscissa (it would warn and then give NaN abscissae).
+        ev = build_evaluator([-1, -2, 0.5])
+        for lo, hi in ((-1e308, 1e308), (-1.7976931348623157e308, 1e300)):
+            with pytest.raises(ValueError, match="width hi - lo overflows"):
+                derivative_grid(ev, lo, hi, 64, 1)
+
     def test_guard_covers_offset_points(self):
         # Four points on one side make one block: the anchor 0, the offsets 6.7e16
         # and 1.3e17 and the endpoint 2e17.  With |Z|_2 = 40.5 the guard refuses
@@ -625,6 +706,7 @@ class TestDerivativeGrid:
         # _grid with the rows of orders m..m+2 only, as verify_sign calls it, against
         # the columns m.. of the full grid: real and conjugate vectors, grids left
         # of, right of and across 0, the one-point path, and every m from 0 to n+1.
+        # The abscissae _grid returns are the grid's linspace.
         rng = np.random.default_rng(43)
         vectors = [twelve_frequency_vectors()[0], twelve_frequency_vectors()[1], [-1, -2]]
         vectors += [list(rng.uniform(-2.0, 2.0, int(rng.integers(2, 9)))) for _ in range(3)]
@@ -639,7 +721,8 @@ class TestDerivativeGrid:
                 scale = np.abs(full).max(axis=0)
                 for m in range(n + 2):
                     rows = fundamental._order_rows(ev.diagonal, m + 2)[m:]
-                    part = fundamental._grid(ev, lo, hi, count, rows)
+                    xs, part = fundamental._grid(ev, lo, hi, count, rows)
+                    assert np.array_equal(xs, np.linspace(lo, hi, count))
                     assert part.shape == (count, 3) and part.dtype == np.float64
                     assert np.all(np.abs(part - full[:, m:m + 3]) <= 1e-12 * scale[m:m + 3]), \
                         (entries, lo, hi, count, m)

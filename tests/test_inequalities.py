@@ -112,6 +112,9 @@ class TestVerifySign:
         # Refused before any abscissa is formed, so numpy does not warn on inf * 0.
         with pytest.raises(ValueError, match="finite"):
             verify_sign(ev, 2, 0.0, math.inf)
+        # Finite bounds whose distance overflows: refused by name, not from a NaN abscissa.
+        with pytest.raises(ValueError, match="width hi - lo overflows"):
+            verify_sign(build_evaluator([-1, -2, 0.5]), 1, -1e308, 1e308)
 
     @pytest.mark.parametrize("lo, hi, tol", [
         # Every sample of Phi for [-1, -2] is negative on [-3, -1]: NaN certified it.
@@ -446,6 +449,13 @@ class TestPolynomialNonnegativity:
     def test_negative_only_outside_interval(self):
         assert polynomial_nonnegative_on([0.0, 1.0], 0.0, 2.0)
         assert not polynomial_nonnegative_on([0.0, 1.0], -1.0, 2.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                        (0.0, math.nan)])
+    def test_non_finite_bounds_refused(self, lo, hi):
+        # A positive constant came out False on [0, inf), with a numpy warning.
+        with pytest.raises(ValueError, match="finite"):
+            polynomial_nonnegative_on([1.0], lo, hi)
 
 
 class TestPositiveDefinite:
