@@ -111,6 +111,8 @@ def _interval(raw) -> tuple:
     lo, hi = (float(_number(v)) for v in raw)
     if lo > hi:
         raise ConfigError(f"bad interval [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"width hi - lo overflows the float range, got [{lo}, {hi}]")
     return lo, hi
 
 

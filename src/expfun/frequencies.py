@@ -68,23 +68,37 @@ def as_frequency_vector(freq) -> FrequencyVector:
     raise TypeError(f"cannot interpret {freq!r} as a frequency vector")
 
 
-def _multiset_matches(left: Sequence[complex], right: Sequence[complex], tol: float) -> bool:
-    # Greedy bipartite matching: each left element grabs the closest unused
-    # right element; succeeds iff every distance is within tol.
+def _matching(left: Sequence[complex], right: Sequence[complex], tol: float):
+    """Indices into right matched to each entry of left, or None if some distance exceeds tol.
+
+    Greedy bipartite matching: each left element, taken in (real, imag)
+    order, grabs the closest unused right element.
+    """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    remaining = list(right)
-    for a in sorted(left, key=lambda z: (z.real, z.imag)):
+    remaining = list(range(len(right)))
+    match = [0] * len(left)
+    for i in sorted(range(len(left)), key=lambda i: (left[i].real, left[i].imag)):
         best_i = -1
         best_d = None
-        for i, b in enumerate(remaining):
-            d = abs(a - b)
+        for k, j in enumerate(remaining):
+            d = abs(left[i] - right[j])
             if best_d is None or d < best_d:
-                best_d, best_i = d, i
+                best_d, best_i = d, k
         if best_d is None or best_d > tol:
-            return False
-        remaining.pop(best_i)
-    return True
+            return None
+        match[i] = remaining.pop(best_i)
+    return match
+
+
+def _conjugate_partners(freq, tol: float = DEFAULT_MATCH_TOL):
+    """Per entry, the index of the entry matched to its conjugate; None if not closed.
+
+    An entry matched to itself is real to within tol.  ``build_evaluator``
+    pairs the non-real entries by this matching.
+    """
+    freq = as_frequency_vector(freq)
+    return _matching([v.conjugate() for v in freq.entries], freq.entries, tol)
 
 
 def is_conjugate_closed(freq, tol: float = DEFAULT_MATCH_TOL) -> bool:
@@ -93,16 +107,13 @@ def is_conjugate_closed(freq, tol: float = DEFAULT_MATCH_TOL) -> bool:
     This is the condition under which the solution space is closed under
     conjugation and the fundamental solution is real-valued on the real line.
     """
-    freq = as_frequency_vector(freq)
-    conj = [v.conjugate() for v in freq.entries]
-    return _multiset_matches(conj, freq.entries, tol)
+    return _conjugate_partners(freq, tol) is not None
 
 
 def is_symmetric(freq, tol: float = DEFAULT_MATCH_TOL) -> bool:
     """True iff the multiset of frequencies equals its negation."""
     freq = as_frequency_vector(freq)
-    negated = [-v for v in freq.entries]
-    return _multiset_matches(negated, freq.entries, tol)
+    return _matching([-v for v in freq.entries], freq.entries, tol) is not None
 
 
 def _homogeneous_prefix(entries: Sequence[complex], dmax: int) -> list:

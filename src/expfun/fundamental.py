@@ -8,12 +8,24 @@ Z**m @ expm(x*Z), where Z is the upper bidiagonal matrix carrying the
 frequencies on the diagonal and ones above it.  This representation needs no
 case analysis for repeated (confluent) frequencies.
 
+A conjugate-closed vector gives an operator with real coefficients and a
+real Phi, and a real matrix of the same size realizes 1/p(s), the Laplace
+transform of Phi, p the characteristic polynomial (the cascade realization
+of linear systems theory).  ``build_evaluator`` gives such a vector, when it
+has non-real entries, the real tridiagonal R of ``_pair_blocks`` in place of
+Z: its nodes in ascending modulus, each pair a +- ib a 2 x 2 block, and
+Phi^(m)(x) = (R**m expm(x*R))[0, n] / P for a cofactor P fixed per
+evaluator.  Its values are exactly real, in real arithmetic throughout.  An
+all-real vector keeps Z in the caller's order, real; so does a vector that
+is not conjugate-closed, complex, which only ``eval_derivative_complex``
+evaluates.  Below, A is the evaluator's matrix, Z or R.
+
 Two entry points tabulate the orders 0..m, both on one stacked Taylor
-scaling-and-squaring kernel that takes a batch of abscissae and runs in real
-arithmetic when every frequency is real.  The evaluator stores the powers
-(Z/||Z||_2)**k, k = 0..n+18, once, so that the kernel builds the Taylor
-polynomial of every scaled abscissa from one product of its coefficients
-with those powers, with no solve, before the squarings:
+scaling-and-squaring kernel that takes a batch of abscissae, in the dtype
+of A.  The evaluator stores the powers (A/||A||_2)**k, k = 0..n+18, once,
+so that the kernel builds the Taylor polynomial of every scaled abscissa
+from one product of its coefficients with those powers, with no solve,
+before the squarings:
 
 * ``derivative_table`` takes any abscissae and spends one exponential per
   point, passing them to the kernel in slices of bounded working memory.
@@ -27,19 +39,18 @@ with those powers, with no solve, before the squarings:
   use it.
 
 Both read the orders off the last column c of each exponential as
-(e_0 Z**j) . c, with the rows e_0 Z**j from a bidiagonal recurrence once per
-call, and both hand those rows to one of two private kernels that take the
-rows they apply: ``_table`` for given abscissae and ``_grid`` for a uniform
-grid.  ``_table`` also serves ``eval_derivative_complex``, which skips the
-real projection, and ``_grid``'s one-point grids.  Sign scans
-(``verify_sign``) pass only the three orders they read to ``_grid``, and
-refine a sign change by ``_table`` calls on the same rows, two abscissae
-at a time.  The table applies the rows to every point's finished column
-with ``einsum``, so that a row does not depend on the other abscissae of
-the call.  The grid makes no such promise: it folds the rows into its fine
-factors, e_0 Z**j expm(r*h*Z), and applies those with a BLAS product to
-the columns the other factors give, so it never forms one column per
-point.
+(e_0 A**j / P) . c, with the rows e_0 A**j / P from a three-term recurrence
+once per call, and both hand those rows to one of two private kernels that
+take the rows they apply: ``_table`` for given abscissae and ``_grid`` for a
+uniform grid.  ``_table`` also serves ``eval_derivative_complex`` and
+``_grid``'s one-point grids.  Sign scans (``verify_sign``) pass only the
+three orders they read to ``_grid``, and refine a sign change by ``_table``
+calls on the same rows, two abscissae at a time.  The table applies the
+rows to every point's finished column with ``einsum``, so that a row does
+not depend on the other abscissae of the call.  The grid makes no such
+promise: it folds the rows into its fine factors, e_0 A**j expm(r*h*A),
+and applies those with a BLAS product to the columns the other factors
+give, so it never forms one column per point.
 
 Two independent evaluation routes, a partial-fraction sum (distinct
 frequencies only) and a truncated power series, are provided for
@@ -50,10 +61,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .frequencies import FrequencyVector, as_frequency_vector, is_conjugate_closed, _homogeneous_prefix
+from .frequencies import (FrequencyVector, as_frequency_vector, _conjugate_partners,
+                          _homogeneous_prefix)
 
 __all__ = [
     "FundamentalEvaluator",
@@ -67,17 +80,14 @@ __all__ = [
     "eval_via_taylor",
 ]
 
-#: Relative bound on the imaginary residue tolerated before projecting to the reals.
-REAL_PROJECTION_TOL = 1e-9
-
-#: Largest |t| ||Z||_2 at which the Taylor kernel runs unscaled: theta_18, the
+#: Largest |t| ||A||_2 at which the Taylor kernel runs unscaled: theta_18, the
 #: largest theta whose backward-error series sum_k |c_k| theta**(k-1), with
 #: log(exp(-x) T_18(x)) = sum_k c_k x**k and T_18 the degree-18 Taylor
 #: polynomial of exp, stays within 2**-53 (Al-Mohy & Higham 2011).
 _THETA = 1.090863719290036
 
 #: Terms of the Taylor kernel past the highest power at which an entry of
-#: expm(t*Z) starts: entry (i, j) starts at power j - i <= n, so the degree
+#: expm(t*A) starts: entry (i, j) starts at power j - i <= n, so the degree
 #: n + 18 keeps 18 terms past every entry's first, a truncation of at most
 #: about theta**19/19! = 4e-17 of the entry's leading term t**(j-i)/(j-i)!.
 _TAYLOR_DEGREE = 18
@@ -94,22 +104,33 @@ _CHUNK_ENTRIES = 4096
 class FundamentalEvaluator:
     """Precomputed state for evaluating derivatives of the fundamental solution.
 
-    ``diagonal`` holds the frequencies, the diagonal of the (n+1) x (n+1)
-    upper bidiagonal matrix Z with ones on its superdiagonal; it is real
-    when every frequency is real, and evaluation then runs in real
-    arithmetic.  ``norm`` is the spectral norm nu of Z, which fixes the
-    scaling depth at every abscissa.  ``powers`` is the read-only
-    (n+19, (n+1)**2) stack of the flattened powers (Z/nu)**k, k = 0..n+18,
-    the basis in which the Taylor kernel writes every matrix; nu = 1 stands
-    in for these powers when Z = 0, which happens only for the single
-    frequency 0, while ``norm`` stays 0.
-    ``realify`` records whether the frequency vector is conjugate-closed, in
-    which case values are projected onto the reals after an
-    imaginary-residue check.
+    The evaluator holds an (n+1) x (n+1) tridiagonal matrix A, with
+    ``diagonal``, ``upper`` (superdiagonal) and ``lower`` (subdiagonal), for
+    which Phi^(m)(x) = (A**m expm(x*A))[0, n] / ``cofactor``.
+
+    * A vector with a non-real entry that is not conjugate-closed gets the
+      complex bidiagonal Z of the module docstring, in the caller's order;
+      ``lower`` is None and ``cofactor`` 1.
+    * An all-real vector gets the same Z, real, also in the caller's order.
+    * A conjugate-closed vector with non-real entries gets the real matrix R
+      of ``build_evaluator``: its nodes in ascending modulus, each pair in a
+      2 x 2 block, ``lower`` nonzero only inside the blocks, and
+      ``cofactor`` the product of ``upper``.  Its values are exactly real.
+
+    ``norm`` is the spectral norm nu of A, which fixes the scaling depth at
+    every abscissa.  ``powers`` is the read-only (n+19, (n+1)**2) stack of
+    the flattened powers (A/nu)**k, k = 0..n+18, the basis in which the
+    Taylor kernel writes every matrix; nu = 1 stands in for these powers when
+    A = 0, which happens only for the single frequency 0, while ``norm``
+    stays 0.  ``realify`` records whether the frequency vector is
+    conjugate-closed, that is whether A is real.
     """
 
     freq: FrequencyVector
     diagonal: np.ndarray = field(repr=False, compare=False)
+    upper: np.ndarray = field(repr=False, compare=False)
+    lower: Optional[np.ndarray] = field(repr=False, compare=False)
+    cofactor: float = field(repr=False, compare=False)
     powers: np.ndarray = field(repr=False, compare=False)
     norm: float
     realify: bool
@@ -120,13 +141,24 @@ class FundamentalEvaluator:
 
 
 def build_evaluator(freq) -> FundamentalEvaluator:
-    """Build an evaluator for the given frequency vector."""
+    """Build an evaluator for the given frequency vector.
+
+    A conjugate-closed vector with non-real entries is realized by a real
+    tridiagonal R (see ``_pair_blocks``); every other vector by the
+    bidiagonal Z in the caller's order, real when every frequency is.
+    """
     freq = as_frequency_vector(freq)
-    diagonal = np.array(freq.entries, dtype=complex)
-    if not diagonal.imag.any():
-        diagonal = diagonal.real.copy()
-    diagonal.setflags(write=False)
-    z = np.diag(diagonal) + np.diag(np.ones(len(diagonal) - 1), 1)
+    partners = _conjugate_partners(freq)
+    if partners is not None and any(v.imag for v in freq.entries):
+        diagonal, upper, lower, cofactor = _pair_blocks(freq.entries, partners)
+    else:
+        diagonal = np.array(freq.entries, dtype=complex)
+        if partners is not None:
+            diagonal = diagonal.real.copy()
+        upper, lower, cofactor = np.ones(len(diagonal) - 1), None, 1.0
+    z = np.diag(diagonal) + np.diag(upper, 1)
+    if lower is not None:
+        z += np.diag(lower, -1)
     norm = float(np.linalg.norm(z, 2))
     unit = z / (norm or 1.0)
     powers = np.empty((len(z) + _TAYLOR_DEGREE,) + z.shape, dtype=z.dtype)
@@ -134,20 +166,79 @@ def build_evaluator(freq) -> FundamentalEvaluator:
     for k in range(1, len(powers)):
         powers[k] = powers[k - 1] @ unit
     powers = powers.reshape(len(powers), -1)
-    powers.setflags(write=False)
-    return FundamentalEvaluator(freq=freq, diagonal=diagonal, powers=powers, norm=norm,
-                                realify=is_conjugate_closed(freq))
+    for array in (diagonal, upper, lower, powers):
+        if array is not None:
+            array.setflags(write=False)
+    return FundamentalEvaluator(freq=freq, diagonal=diagonal, upper=upper, lower=lower,
+                                cofactor=cofactor, powers=powers, norm=norm,
+                                realify=partners is not None)
+
+
+def _pair_blocks(entries, partners) -> tuple:
+    """Diagonals and corner cofactor of the real tridiagonal R for a conjugate-closed vector.
+
+    Each entry is paired with the entry that ``_conjugate_partners`` matched
+    to its conjugate; a non-real pair u, w becomes a +- ib with a the mean
+    of the real parts and b the mean of the moduli of the imaginary parts,
+    and an entry matched to itself, real to within the matching tolerance,
+    becomes its real part.  The blocks are ordered by ascending modulus,
+    ties in the caller's order, so that the small nodes come first in the
+    rows e_0 R**j: with the large nodes first their terms can reach 1e9
+    times the value they sum to.
+
+    A pair is the 2 x 2 block [[a, beta], [-b**2 / beta, a]], whose
+    characteristic polynomial is (s - a)**2 + b**2, and the superdiagonal
+    entries between blocks are 1.  So det(sI - R) = p(s), the cofactor of
+    the corner is the product P of the betas, and Phi^(m)(x) =
+    (R**m expm(x*R))[0, n] / P.  beta is max(b, 1): a block with b > 1 is
+    then a times the identity plus b times a rotation generator, of norm
+    |a +- ib| like the pair's own, so that |R|_2 stays close to |Z|_2 and
+    scaling depths do not grow; a block with b <= 1 is a Jordan block
+    perturbed by -b**2, and P stays clear of underflow.  Returns (diagonal,
+    upper, lower, P), with P the product of ``upper`` in order; a P past the
+    float range is refused with ValueError.
+    """
+    blocks, done = [], set()
+    for i, v in enumerate(entries):
+        if i in done:
+            continue
+        j = partners[i]
+        done.add(i)
+        if v.imag and j not in done:
+            done.add(j)
+            w = entries[j]
+            a, b = 0.5 * v.real + 0.5 * w.real, 0.5 * abs(v.imag) + 0.5 * abs(w.imag)
+            blocks.append((abs(complex(a, b)), i, a, b))
+        else:
+            blocks.append((abs(v.real), i, v.real, None))
+    blocks.sort(key=lambda block: block[:2])
+    diagonal, upper, lower = [], [], []
+    for _, _, a, b in blocks:
+        if diagonal:
+            upper.append(1.0)
+            lower.append(0.0)
+        if b is None:
+            diagonal.append(a)
+            continue
+        beta = max(b, 1.0)
+        diagonal += [a, a]
+        upper.append(beta)
+        lower.append(-(b / beta) * b)
+    cofactor = math.prod(upper)
+    if not math.isfinite(cofactor):
+        raise ValueError("the conjugate pairs' imaginary parts multiply past the float range")
+    return np.array(diagonal), np.array(upper), np.array(lower), cofactor
 
 
 def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
-    """Scaling depth ceil(log2(|x| |Z|_2 / theta)) per abscissa, 0 within theta.
+    """Scaling depth ceil(log2(|x| |A|_2 / theta)) per abscissa, 0 within theta.
 
-    The depth is read off the binary exponent of |x| |Z|_2 / theta, so it is
-    exact: a depth of d leaves |x| |Z|_2 / 2**d <= theta.  The guard
+    The depth is read off the binary exponent of |x| |A|_2 / theta, so it is
+    exact: a depth of d leaves |x| |A|_2 / 2**d <= theta.  The guard
     (``_guard``) runs first and reads only the largest |x|: rounding is
-    monotone, so that abscissa has the largest |x| |Z|_2 / theta.  It
-    accepts |x| |Z|_2 = theta * 2**60 and refuses the next float above it,
-    as well as a product |x| |Z|_2 that overflows; once it has passed, no
+    monotone, so that abscissa has the largest |x| |A|_2 / theta.  It
+    accepts |x| |A|_2 = theta * 2**60 and refuses the next float above it,
+    as well as a product |x| |A|_2 that overflows; once it has passed, no
     product overflows, so the depths are formed without ``np.errstate``.
     """
     size = np.abs(xs)
@@ -175,18 +266,18 @@ def _guard(ev: FundamentalEvaluator, size: float) -> None:
 
 
 def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
-    """expm(x*Z) for every abscissa x in the nonempty xs, stacked in the order of xs.
+    """expm(x*A) for every abscissa x in the nonempty xs, stacked in the order of xs.
 
     Each x is scaled to t = x / 2**depth, so that |t| nu <= theta with nu =
     ``ev.norm``, and the Taylor polynomial of degree n + 18 is written in the
-    evaluator's power basis, sum_k (t nu)**k / k! (Z/nu)**k: one product of
+    evaluator's power basis, sum_k (t nu)**k / k! (A/nu)**k: one product of
     the (len(xs), n + 19) coefficient array with ``ev.powers`` builds it for
     every x, with no solve, and the squarings follow.  The product is
     stacked, one 1 x (n + 19) by (n + 19) x (n+1)**2 product per matrix,
     because a single flat BLAS product rounds a row of a batch differently
     from the same row alone, and ``derivative_table`` promises that a row
     does not depend on the other abscissae of the call.  At x = 0 (either
-    sign), and at every x when Z = 0 (the single frequency 0, nu = 0), the
+    sign), and at every x when A = 0 (the single frequency 0, nu = 0), the
     coefficients are 1, 0, 0, ..., so the matrix is the identity exactly.
 
     Memory grows with the size of xs, which callers bound.  Where the depths
@@ -194,8 +285,8 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     abscissae are ordered by depth, so that each squaring acts on the tail
     of the stack that still needs it, and one scatter restores the order of
     xs; otherwise every matrix takes the same squarings in place.  The
-    starts of all the tails come from one ``searchsorted``.  Matrices are
-    complex unless every frequency is real.
+    starts of all the tails come from one ``searchsorted``.  Matrices have
+    the dtype of A: complex only for a vector that is not conjugate-closed.
     """
     depth = _squarings(ev, xs)
     order = None
@@ -223,20 +314,32 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _order_rows(diag: np.ndarray, max_order: int) -> np.ndarray:
-    """Rows e_0 Z**j, j = 0..max_order, one per order.
+def _order_rows(ev: FundamentalEvaluator, max_order: int) -> np.ndarray:
+    """Rows e_0 A**j / cofactor, j = 0..max_order, for the evaluator's matrix A.
 
-    The j-th derivative is (e_0 Z**j) . c for the last column c of
-    expm(x*Z).  The rows come from the bidiagonal recurrence on the row side,
-    (r Z)[i] = r[i-1] + l_i r[i], once per call.
+    The j-th derivative is the j-th row dotted with the last column of
+    expm(x*A).  The rows come from the three-term recurrence on the row
+    side, (r A)[i] = upper[i-1] r[i-1] + diagonal[i] r[i] + lower[i] r[i+1],
+    once per call; for the bidiagonal Z, whose cofactor is 1, it is r[i-1] +
+    l_i r[i].  The diagonal entry of row j is the product of the first j
+    entries of ``upper``, formed in the order ``math.prod`` forms the
+    cofactor, so row n ends in exactly 1 and Phi^(n)(0) = 1 exactly.
     """
     if max_order < 0:
         raise ValueError("derivative order must be nonnegative")
+    diag = ev.diagonal
     rows = np.zeros((max_order + 1, len(diag)), dtype=diag.dtype)
     rows[0, 0] = 1.0
+    if ev.lower is None:
+        for prev, row in zip(rows, rows[1:]):
+            np.multiply(diag, prev, out=row)
+            np.add(row[1:], prev[:-1], out=row[1:])
+        return rows
     for prev, row in zip(rows, rows[1:]):
         np.multiply(diag, prev, out=row)
-        np.add(row[1:], prev[:-1], out=row[1:])
+        row[1:] += ev.upper * prev[:-1]
+        row[:-1] += ev.lower * prev[1:]
+    rows /= ev.cofactor
     return rows
 
 
@@ -252,7 +355,7 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 
 def _orders(col: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Derivatives from last columns of expm(x*Z): rows of ``_order_rows`` applied to each column.
+    """Derivatives from last columns of expm(x*A): rows of ``_order_rows`` applied to each column.
 
     ``np.einsum`` without ``optimize`` sums each output entry in the same
     order whatever the number of columns, so a row does not depend on its
@@ -269,52 +372,30 @@ def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
         )
 
 
-def _project(values: np.ndarray) -> np.ndarray:
-    """Real part of values after checking every imaginary residue against TOL * (1 + |v|).
-
-    The check first reads the parts alone, |Im| > TOL * (1 + |Re|), and
-    takes the complex modulus only where that flags a value: since |v| >=
-    |Re|, also after rounding, a value that passes the first test passes the
-    second, so the verdict is that of the second test alone.
-    """
-    if not np.iscomplexobj(values):
-        return values
-    size = np.abs(values.imag)
-    if (size > REAL_PROJECTION_TOL * (1.0 + np.abs(values.real))).any():
-        bad = size > REAL_PROJECTION_TOL * (1.0 + np.abs(values))
-        if bad.any():
-            raise ArithmeticError(
-                f"value {complex(values[bad][0])!r} has a material imaginary part although "
-                "the frequency vector is conjugate-closed; evaluation is numerically "
-                "unreliable here"
-            )
-    return values.real
-
-
 def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray:
     """Derivatives 0..max_order of the fundamental solution at every abscissa.
 
     Returns a (len(xs), max_order + 1) float array whose row i holds
     Phi(xs[i]), Phi'(xs[i]), ..., Phi^(max_order)(xs[i]); a row does not
     depend on the other abscissae of the call.  Requires a conjugate-closed
-    frequency vector and finite abscissae; each value's imaginary residue is
-    checked against ``REAL_PROJECTION_TOL`` before projecting, and a value
-    that is not finite raises OverflowError.
+    frequency vector, whose real matrix gives real values with no
+    projection, and finite abscissae; a value that is not finite raises
+    OverflowError.
     """
     _require_conjugate_closed(ev)
-    return _project(_table(ev, xs, _order_rows(ev.diagonal, max_order)))
+    return _table(ev, xs, _order_rows(ev, max_order))
 
 
 def _table(ev: FundamentalEvaluator, xs, rows: np.ndarray) -> np.ndarray:
-    """Values of the given stack of rows e_0 Z**j at the abscissae xs: one value column per row.
+    """Values of the given rows e_0 A**j / P at the abscissae xs: one value column per row.
 
     The counterpart of ``_grid`` for any abscissae: one exponential per
     point, with the rows applied to each finished last column by
     ``_orders``.  Abscissae that fit one slice of ``_CHUNK_ENTRIES`` matrix
     entries, as every single-point query and refinement probe does, go to
     the kernel in one call; more are passed in such slices, written into one
-    output array.  The values are not projected, so they are complex when
-    the diagonal is.  Raises ValueError for abscissae that do not form a
+    output array.  The values have the dtype of the evaluator's matrix:
+    complex only for a vector that is not conjugate-closed.  Raises ValueError for abscissae that do not form a
     finite one-dimensional sequence or lie beyond the squaring guard, and
     OverflowError for a value that is not finite.
     """
@@ -362,11 +443,11 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     h the grid step, signed like the side, point q2*s**2 + q1*s + r of a
     block (digits 0 <= q2, q1, r < s) is the block's anchor (the block point
     nearest 0, a ``linspace`` abscissa) plus (q2*s**2 + q1*s + r)*h, so that
-    expm(x*Z) = expm(r*h*Z) @ expm(q1*s*h*Z) @ expm(q2*s**2*h*Z) @
-    expm(anchor*Z).  Only the anchors and the s - 1 offsets q*s**k*h of each
-    level k = 0, 1, 2 go through the Taylor kernel.  The rows e_0 Z**j are
+    expm(x*A) = expm(r*h*A) @ expm(q1*s*h*A) @ expm(q2*s**2*h*A) @
+    expm(anchor*A).  Only the anchors and the s - 1 offsets q*s**k*h of each
+    level k = 0, 1, 2 go through the Taylor kernel.  The rows e_0 A**j / P are
     folded into the fine factors (level 0) first, giving the small stack
-    e_0 Z**j expm(r*h*Z).  Then one matrix product per level gives every
+    e_0 A**j expm(r*h*A) / P.  Then one matrix product per level gives every
     point's orders: the level-2 factors (identity first) applied to all
     anchor last columns, then the level-1 factors to those, give the columns
     at the points anchor + (q2*s + q1)*s*h, which are true columns at grid
@@ -394,15 +475,14 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
 
     Raises ValueError for non-finite bounds, lo > hi, count < 1, a negative
     order, a vector that is not conjugate-closed, and abscissae beyond the
-    squaring guard; ArithmeticError for a material imaginary residue, and
-    OverflowError for a value that is not finite.
+    squaring guard, and OverflowError for a value that is not finite.
     """
-    return _grid(ev, lo, hi, count, _order_rows(ev.diagonal, max_order))[1]
+    return _grid(ev, lo, hi, count, _order_rows(ev, max_order))[1]
 
 
 def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
           rows: np.ndarray) -> tuple:
-    """``derivative_grid`` for the given stack of rows e_0 Z**j: the abscissae and the values.
+    """``derivative_grid`` for the given rows e_0 A**j / P: the abscissae and the values.
 
     Returns ``(xs, values)``: xs is the grid ``np.linspace(lo, hi, count)``
     that the values sample, one value column per row, so that a caller
@@ -424,7 +504,7 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     xs = np.linspace(lo, hi, count)
     if lo == hi or count == 1:
         # One abscissa, possibly repeated: a zero offset would only add rounding.
-        return xs, np.repeat(_project(_table(ev, xs[:1], rows)), count, axis=0)
+        return xs, np.repeat(_table(ev, xs[:1], rows), count, axis=0)
     # The 2**60 guard on every abscissa, not only on the factors: depth grows with |x|,
     # so the two ends decide it.
     _guard(ev, max(abs(lo), abs(hi)))
@@ -452,7 +532,7 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     out = np.empty((count, len(rows)))
     for i, (side, length, _) in enumerate(sides):
         anchors, *offsets, fine = parts[4 * i:4 * i + 4]
-        # Entry (i, r*K + j) of the folded fine factors is (e_0 Z**j F_r)[i], F_r the fine
+        # Entry (i, r*K + j) of the folded fine factors is (e_0 A**j F_r)[i] / P, F_r the fine
         # factor r (identity first) and K the number of rows.
         folded = (_side_by_side(fine).reshape(dim, -1, dim) @ rows.T).reshape(dim, -1)
         # Columns as rows, so that every reshape keeps memory order: a column at row c
@@ -467,23 +547,25 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
             for level in offsets:
                 cols = (cols @ _side_by_side(level)).reshape(-1, dim)
             values = (cols @ folded).reshape(-1, len(rows))[:length]
-        out[side] = _project(_finite(values))
+        out[side] = _finite(values)
     return xs, out
 
 
 def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> complex:
     """m-th derivative of the fundamental solution at x, complex output.
 
+    Serves every frequency vector.  One that is not conjugate-closed runs in
+    complex arithmetic on Z in the caller's order; a closed one runs on its
+    real matrix, so the value is exactly real, that of ``eval_derivative``.
     A value that is not finite raises OverflowError, as in ``eval_derivative``.
     """
-    return complex(_table(ev, [x], _order_rows(ev.diagonal, m))[0, m])
+    return complex(_table(ev, [x], _order_rows(ev, m))[0, m])
 
 
 def eval_derivative(ev: FundamentalEvaluator, m: int, x: float) -> float:
     """m-th derivative of the fundamental solution at x: one row of ``derivative_table``.
 
-    Requires a conjugate-closed frequency vector; the imaginary residue is
-    checked against ``REAL_PROJECTION_TOL`` before projecting.
+    Requires a conjugate-closed frequency vector.
     """
     return float(derivative_table(ev, [x], m)[0, m])
 

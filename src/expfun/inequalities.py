@@ -35,7 +35,6 @@ from .fundamental import (
     FundamentalEvaluator,
     _grid,
     _order_rows,
-    _project,
     _table,
     build_evaluator,
     derivative_table,
@@ -263,7 +262,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
-    rows = sign * _order_rows(ev.diagonal, m + 2)[m:]
+    rows = sign * _order_rows(ev, m + 2)[m:]
     xs, samples = _grid(ev, lo, hi, grid, rows)
     vals = samples[:, 0]
     bad = np.flatnonzero(vals < -tol)
@@ -281,7 +280,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         if not after.size:
             return SignReport("violated", witness, None, grid, sign)
         j = i + int(after[0])
-    probe = lambda ts: _project(_table(ev, ts, rows))
+    probe = lambda ts: _table(ev, ts, rows)
     boundary = _refine_sign_change(probe, float(xs[j - 1]), float(xs[j]), samples[j - 1], samples[j])
     return SignReport("violated", witness, boundary, grid, sign)
 

@@ -354,6 +354,16 @@ class TestHarness:
         assert code == 2 and out == "" and "config error" in err and "finite" in err
 
     @pytest.mark.parametrize("command, config", [
+        ("eval", {"frequencies": [-1, -2], "interval": [-1e308, 1e308], "samples": 3}),
+        ("verify", {"frequencies": [-1, -2], "m": 2, "interval": [-1.7976931348623157e308, 1e300]}),
+    ], ids=["eval", "verify"])
+    def test_overflowing_interval_width_is_config_error(self, tmp_path, capsys, command, config):
+        # Both ends are finite but hi - lo is not: a config error (exit 2), not a
+        # numerical failure (exit 3) from the grid.
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, config)])
+        assert code == 2 and out == "" and "config error" in err and "width" in err
+
+    @pytest.mark.parametrize("command, config", [
         ("verify", {"frequencies": [-1, -2], "m": 2, "interval": [0, 3], "tol": math.nan}),
         ("verify", {"frequencies": [-1, -2], "m": 2, "interval": [0, 3], "tol": True}),
         ("eval", {"frequencies": [-1, -2], "interval": [False, True], "samples": 3}),

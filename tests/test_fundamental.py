@@ -37,6 +37,12 @@ def random_conjugate_closed(rng, n):
     return entries
 
 
+def realization(ev):
+    """The evaluator's matrix A: Phi^(m)(x) = (A**m expm(x A))[0, n] / cofactor."""
+    mat = np.diag(ev.diagonal) + np.diag(ev.upper, 1)
+    return mat if ev.lower is None else mat + np.diag(ev.lower, -1)
+
+
 def random_distinct_real(rng, n, min_gap=0.1, scale=1.5):
     while True:
         entries = np.sort(rng.uniform(-scale, scale, size=n + 1))
@@ -105,9 +111,12 @@ class TestBasis:
             ev = build_evaluator(entries)
             assert basis(ev, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("entries", [[-1, -2], [0, 0, 0], [1j, -1j, 0.5]])
+    @pytest.mark.parametrize("entries", [[-1, -2], [0, 0, 0], [1j, -1j, 0.5],
+                                         [2 + 1.3j, 2 - 1.3j, -1.5 + 2.3j, 0.5, -1.5 - 2.3j]])
     def test_exact_initial_data_at_origin(self, entries):
         # expm(0 * Z) is the identity, so Phi^(j)(0) is exactly 0 for j < n and 1 for j = n.
+        # The last vector's real matrix has the cofactor 1.3 * 2.3, rounded: row n of the
+        # recurrence ends in the same rounded product, so the division still gives 1.
         ev = build_evaluator(entries)
         assert eval_derivative(ev, ev.n, 0.0) == 1.0
         assert eval_derivative(ev, ev.n, -0.0) == 1.0
@@ -352,10 +361,11 @@ EXPM_VECTORS = {
 
 
 class TestExponentialsOracle:
-    """Every entry of the kernel's expm(x*Z) against 40-digit mpmath.
+    """Every entry of the kernel's expm(x*A) against 40-digit mpmath, A the evaluator's matrix.
 
-    The grid's fine and coarse factors use whole matrices, not only the last
-    column that the derivatives read.
+    A is the bidiagonal Z for real vectors and the real tridiagonal R for
+    conjugate pairs.  The grid's fine and coarse factors use whole matrices,
+    not only the last column that the derivatives read.
     """
 
     @pytest.mark.parametrize("name", list(EXPM_VECTORS))
@@ -369,13 +379,13 @@ class TestExponentialsOracle:
         depths = [0, 0] + [d for d in range(9) for _ in "+-"] if ev.norm else [0] * len(xs)
         assert fundamental._squarings(ev, xs).tolist() == depths
         mats = fundamental._exponentials(ev, xs)
-        assert mats.dtype == (np.complex128 if name == "pairs" else np.float64)
+        assert mats.dtype == np.float64
         # The Taylor coefficients at 0 are 1, 0, 0, ...: the identity exactly.
         assert np.array_equal(mats[0], np.eye(len(entries)))
         assert np.array_equal(mats[1], np.eye(len(entries)))
         upper = np.triu_indices(len(entries))
         for x, mat in zip(xs[2:], mats[2:]):
-            ref = np.array(expm_via_mpmath(entries, x))
+            ref = np.array(expm_via_mpmath(realization(ev), x)).real
             err = np.abs(mat - ref)
             # Each column within 1e-12 of its largest reference entry.
             scale = np.abs(ref).max(axis=0)
@@ -395,7 +405,7 @@ class TestExponentialsOracle:
         ev = build_evaluator(entries)
         x = sign * fundamental._THETA / (2 * ev.norm)
         mat = fundamental._exponentials(ev, np.array([x]))[0]
-        ref = np.array(expm_via_mpmath(entries, x)).real
+        ref = np.array(expm_via_mpmath(realization(ev), x)).real
         upper = np.triu_indices(len(entries))
         rel = np.abs(mat - ref)[upper] / np.abs(ref[upper])
         assert np.all(rel <= 1e-13), rel.max()
@@ -415,14 +425,14 @@ class TestExponentialsOracle:
         for x, mat in zip(xs, batch):
             alone = fundamental._exponentials(ev, np.array([x]))[0]
             assert np.array_equal(alone, mat)
-            ref = np.array(expm_via_mpmath(entries, x))
+            ref = np.array(expm_via_mpmath(realization(ev), x)).real
             scale = np.abs(ref).max(axis=0)
             assert np.all(np.abs(mat - ref) <= 1e-12 * scale), x
         # A batch at depth 0 throughout is squared nowhere.
         small = np.array([0.05, -0.02, 0.0])
         forced.update({-0.02: 0, 0.05: 0})
         for x, mat in zip(small, fundamental._exponentials(ev, small)):
-            ref = np.array(expm_via_mpmath(entries, x))
+            ref = np.array(expm_via_mpmath(realization(ev), x)).real
             assert np.all(np.abs(mat - ref) <= 1e-12 * np.abs(ref).max(axis=0)), x
 
     def test_theta_is_the_degree_18_bound(self):
@@ -497,7 +507,7 @@ class TestDerivativeTable:
         # equal, bit for bit, its row in batches whose depths need sorting (one
         # slice and several), and in a batch at depth 0 throughout.
         ev = build_evaluator(twelve_frequency_vectors()[which])
-        rows = fundamental._order_rows(ev.diagonal, 13)
+        rows = fundamental._order_rows(ev, 13)
         mixed = np.array([5.0, 0.01, -3.0, 0.7, 30.0, 0.0, -0.02, 2.5])
         small = np.array([0.01, -0.02, 0.0, 0.005])
         long = np.linspace(-20.0, 20.0, 61)
@@ -508,23 +518,6 @@ class TestDerivativeTable:
             batch = fundamental._table(ev, xs, rows)
             for x, row in zip(xs, batch):
                 assert np.array_equal(fundamental._table(ev, [x], rows)[0], row), x
-
-    def test_projection_reads_the_modulus_only_when_needed(self):
-        # |Im| is first compared with TOL * (1 + |Re|), then, where that flags a value,
-        # with TOL * (1 + |v|), which is larger; the verdict is the second test's.
-        tol = fundamental.REAL_PROJECTION_TOL
-        im = tol
-        while not im > tol * (1.0 + abs(complex(0.0, im))):
-            im = np.nextafter(im, 1.0)
-        passing, refused = np.nextafter(im, 0.0), im
-        assert passing > tol * (1.0 + 0.0)
-        values = np.array([0.25 + 1e-12j, complex(0.0, passing), complex(0.0, -passing)])
-        assert fundamental._project(values).tolist() == [0.25, 0.0, 0.0]
-        for bad in (refused, -refused, 2 * refused):
-            with pytest.raises(ArithmeticError, match="material imaginary part"):
-                fundamental._project(np.array([0.25 + 0j, complex(0.0, bad)]))
-        real = np.array([1.0, -2.0])
-        assert fundamental._project(real) is real
 
     def test_evaluators_compare_by_frequencies(self):
         ev = build_evaluator([-1, -2])
@@ -550,13 +543,20 @@ class TestDerivativeTable:
         with pytest.raises(ValueError, match="conjugate-closed"):
             derivative_table(build_evaluator([1j, 0]), [1.0], 0)
 
-    def test_residue_check_on_batched_path(self, monkeypatch):
+    def test_conjugate_closed_evaluators_are_real(self):
+        # A closed vector is realized by a real matrix: tables, grids and the complex
+        # variant are real, the last exactly, and they match the 50-digit reference
+        # on the complex bidiagonal Z in the caller's order.
         ev = build_evaluator([-0.5 + 1.3j, -0.5 - 1.3j, 0.2])
+        assert ev.realify and ev.diagonal.dtype == ev.powers.dtype == np.float64
         xs = np.linspace(0.3, 5.0, 50)
-        derivative_table(ev, xs, 2)
-        monkeypatch.setattr(fundamental, "REAL_PROJECTION_TOL", 0.0)
-        with pytest.raises(ArithmeticError, match="material imaginary part"):
-            derivative_table(ev, xs, 2)
+        table = derivative_table(ev, xs, 4)
+        grid = derivative_grid(ev, 0.3, 5.0, 50, 4)
+        assert table.dtype == grid.dtype == np.float64
+        assert_matches_mpmath(ev.freq.entries, table[::7], xs[::7], 1e-14)
+        assert_matches_mpmath(ev.freq.entries, grid[::7], xs[::7], 1e-14)
+        value = eval_derivative_complex(ev, 3, 1.7)
+        assert value.imag == 0.0 and value.real == eval_derivative(ev, 3, 1.7)
 
     def test_non_finite_abscissae_rejected(self):
         ev = build_evaluator([-1, -2])
@@ -567,6 +567,67 @@ class TestDerivativeTable:
                 eval_derivative(ev, 0, bad)
             with pytest.raises(ValueError, match="finite"):
                 eval_derivative_complex(build_evaluator([1j, 0]), 0, bad)
+
+
+#: Conjugate-closed vectors at the edges of the pair blocks, with abscissae: a
+#: tiny and a near-underflow imaginary part, a large one at small x (depths 0 to
+#: 3), a repeated pair, a real node of the pair's modulus, and pairs that
+#: are conjugate only to 1e-12, in the real and in the imaginary part.
+EDGE_PAIRS = {
+    "b_1e-8": ([0.3 + 1e-8j, 0.3 - 1e-8j, -1.0], [0.5, 3.0, -2.0]),
+    "b_1e-300": ([0.3 + 1e-300j, 0.3 - 1e-300j, -1.0], [0.5, 3.0, -2.0]),
+    "b_1e3": ([-2 + 1e3j, -2 - 1e3j, 0.5], [1e-3, -2e-3, 5e-3]),
+    "repeated_pair": ([1 + 2j, 1 - 2j, 1 + 2j, 1 - 2j, -0.5], [0.7, -1.3, 2.5]),
+    "real_of_same_modulus": ([0.6 + 0.8j, 0.6 - 0.8j, -1.0, 1.0], [0.7, -1.3, 2.5]),
+    "real_part_off_1e-12": ([0.4 + 1e-12 + 1.5j, 0.4 - 1.5j, -0.7], [0.7, -1.3, 2.5]),
+    "imag_part_off_1e-12": ([0.4 + (1.5 + 1e-12) * 1j, 0.4 - 1.5j, -0.7], [0.7, -1.3, 6.0]),
+}
+
+
+class TestConjugateRealization:
+    """The real tridiagonal matrix R that realizes a conjugate-closed vector."""
+
+    def test_nodes_in_ascending_modulus(self):
+        # Blocks of the pairs +-i (modulus 1) and 3 +- 4i (modulus 5) around the real
+        # nodes 0.5 and -2; the pair blocks are [[a, beta], [-b**2/beta, a]] with
+        # beta = max(b, 1), joined by ones.  freq keeps the caller's order.
+        entries = [3 + 4j, 0.5, 3 - 4j, -2.0, 1j, -1j]
+        ev = build_evaluator(entries)
+        assert ev.freq.entries == tuple(entries)
+        assert ev.diagonal.tolist() == [0.5, 0.0, 0.0, -2.0, 3.0, 3.0]
+        assert ev.upper.tolist() == [1.0, 1.0, 1.0, 1.0, 4.0]
+        assert ev.lower.tolist() == [0.0, -1.0, 0.0, 0.0, -4.0]
+        assert ev.cofactor == 4.0
+        # A real vector keeps Z in the caller's order; so does a vector that is not closed.
+        assert build_evaluator([2.0, -1.0]).diagonal.tolist() == [2.0, -1.0]
+        assert build_evaluator([2.0, 1j]).lower is None
+
+    @pytest.mark.parametrize("name", list(EDGE_PAIRS))
+    def test_edge_pairs_match_mpmath(self, name):
+        # Orders 0..n+3 against 50 digits on the complex Z in the caller's order.  The
+        # vectors off by 1e-12 are closed only within the matching tolerance: the
+        # reference is their complex value, whose imaginary part is of that order.
+        entries, xs = EDGE_PAIRS[name]
+        ev = build_evaluator(entries)
+        assert ev.realify and ev.powers.dtype == np.float64
+        assert_matches_mpmath(entries, derivative_table(ev, xs, len(entries) + 2), xs, 1e-13)
+
+    def test_large_node_first_matches_mpmath(self):
+        # The pair of modulus 2.88 ahead of six small real nodes: in the caller's
+        # order the rows e_0 Z**j lost 5.8e-8; in ascending modulus the values of
+        # orders 6..11 stay within 1e-12 of max(1, |v|) of the 40-digit reference.
+        entries = [0.051883 + 2.879595j, 0.051883 - 2.879595j, -0.038215, -0.06119,
+                   -0.069474, -0.069432, -0.054274, -0.057562]
+        xs = np.linspace(0.5, 25.0, 60)[::5]
+        table = derivative_table(build_evaluator(entries), xs, 11)[:, 6:]
+        ref = np.array([[eval_via_mpmath(entries, m, x, 40).real for m in range(6, 12)]
+                        for x in xs])
+        err = np.abs(table - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-12, err.max()
+
+    def test_cofactor_past_the_float_range_refused(self):
+        with pytest.raises(ValueError, match="multiply past the float range"):
+            build_evaluator([1e200j, -1e200j, 2e200j, -2e200j])
 
 
 class TestDerivativeGrid:
@@ -623,7 +684,7 @@ class TestDerivativeGrid:
                 ref = eval_via_taylor(entries, m, float(xs[i])).real
                 assert abs(grid[i, m] - ref) <= 1e-10 * abs(ref), (xs[i], m)
 
-    def test_input_contract(self, monkeypatch):
+    def test_input_contract(self):
         ev = build_evaluator([-1, -2])
         for lo, hi in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
             with pytest.raises(ValueError, match="finite"):
@@ -641,11 +702,6 @@ class TestDerivativeGrid:
         for lo, hi in ((0.0, 2e17), (-2e17, 0.0)):
             with pytest.raises(ValueError, match="2\\*\\*60 guard"):
                 derivative_grid(wide, lo, hi, 5, 0)
-        pair = build_evaluator([-0.5 + 1.3j, -0.5 - 1.3j, 0.2])
-        derivative_grid(pair, 0.3, 5.0, 50, 2)
-        monkeypatch.setattr(fundamental, "REAL_PROJECTION_TOL", 0.0)
-        with pytest.raises(ArithmeticError, match="material imaginary part"):
-            derivative_grid(pair, 0.3, 5.0, 50, 2)
 
     def test_overflowing_width_refused(self):
         # hi - lo overflows although both bounds are finite: refused by name before
@@ -720,7 +776,7 @@ class TestDerivativeGrid:
                 full = derivative_grid(ev, lo, hi, count, n + 3)
                 scale = np.abs(full).max(axis=0)
                 for m in range(n + 2):
-                    rows = fundamental._order_rows(ev.diagonal, m + 2)[m:]
+                    rows = fundamental._order_rows(ev, m + 2)[m:]
                     xs, part = fundamental._grid(ev, lo, hi, count, rows)
                     assert np.array_equal(xs, np.linspace(lo, hi, count))
                     assert part.shape == (count, 3) and part.dtype == np.float64

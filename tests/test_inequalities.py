@@ -26,12 +26,18 @@ from expfun import (
     verify_sign,
 )
 
+from mpmath_oracle import eval_via_mpmath, zero_via_mpmath
+
 LOG2_TWICE = 2 * math.log(2)
 DET_FLIP = math.log(3 + math.sqrt(5))
 XTOL = inequalities.BISECTION_XTOL
 
 #: Twelve frequencies in six pairs of positive sum: Phi^(6) has a 5-fold zero at 0.
 PAIR_CHAIN_12 = [0.8, -0.7, 1.4, -1.3, 2.1, -2.0, 3.1, -2.9, 3.8, -3.6, 4.5, -4.4]
+
+#: A conjugate pair of modulus 2.88 ahead of six small decaying real nodes.
+LARGE_PAIR_FIRST = [0.051883 + 2.879595j, 0.051883 - 2.879595j, -0.038215, -0.06119,
+                    -0.069474, -0.069432, -0.054274, -0.057562]
 
 
 def random_symmetric(rng, count, scale=1.2):
@@ -166,6 +172,19 @@ class TestVerifySign:
         rep = verify_sign(build_evaluator([complex(a, b), complex(a, -b)]), 2, 0.0, 2 * zero)
         assert rep.status == "violated" and rep.witness > zero
         assert abs(rep.boundary - zero) <= 1e-10
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_pair_with_large_node_first(self, m):
+        # The pair of modulus 2.88 is given before six small real nodes.  Rows
+        # e_0 Z**j in that order carried terms up to 1e9 times the value, and the
+        # complex kernel's imaginary residue (2e-9) made verify_sign refuse; the
+        # real matrix puts the small nodes first.  The boundary is the zero of the
+        # 40-digit reference, to a few ulps.
+        rep = verify_sign(build_evaluator(LARGE_PAIR_FIRST), m, 0.0, 25.0)
+        assert rep.status == "violated"
+        assert eval_via_mpmath(LARGE_PAIR_FIRST, m, rep.witness, 40).real < -1e-10
+        zero = zero_via_mpmath(LARGE_PAIR_FIRST, m, rep.boundary)
+        assert abs(rep.boundary - zero) <= 1e-12, (rep.boundary, zero)
 
 
 def count_tables(monkeypatch):
