@@ -94,8 +94,10 @@ def _matching(left: Sequence[complex], right: Sequence[complex], tol: float):
 def _conjugate_partners(freq, tol: float = DEFAULT_MATCH_TOL):
     """Per entry, the index of the entry matched to its conjugate; None if not closed.
 
-    An entry matched to itself is real to within tol.  ``build_evaluator``
-    pairs the non-real entries by this matching.
+    An entry matched to itself is real to within tol.  The map is a
+    permutation; for repeated pairs closed only within tol it need not be
+    an involution.  ``build_evaluator`` pairs the non-real entries along its
+    cycles.
     """
     freq = as_frequency_vector(freq)
     return _matching([v.conjugate() for v in freq.entries], freq.entries, tol)

@@ -177,57 +177,71 @@ def build_evaluator(freq) -> FundamentalEvaluator:
 def _pair_blocks(entries, partners) -> tuple:
     """Diagonals and corner cofactor of the real tridiagonal R for a conjugate-closed vector.
 
-    Each entry is paired with the entry that ``_conjugate_partners`` matched
-    to its conjugate; a non-real pair u, w becomes a +- ib with a the mean
-    of the real parts and b the mean of the moduli of the imaginary parts,
-    and an entry matched to itself, real to within the matching tolerance,
-    becomes its real part.  The blocks are ordered by ascending modulus,
-    ties in the caller's order, so that the small nodes come first in the
-    rows e_0 R**j: with the large nodes first their terms can reach 1e9
-    times the value they sum to.
+    ``_conjugate_partners`` maps each entry to the entry matched to its
+    conjugate.  That map is a permutation but, for repeated pairs closed
+    only within the matching tolerance, not always an involution: it can
+    run 0 -> 3 -> 2 -> 1 -> 0.  Each of its cycles is therefore cut into
+    consecutive members, each matched to the next: a pair u, w with a
+    non-real entry becomes a +- ib, a the mean of the real parts and b the
+    mean of the moduli of the imaginary parts, while two real entries stay
+    two real nodes.  The member left over by a cycle of odd length, real
+    to within the matching tolerance, becomes its real part.  The blocks
+    are ordered by ascending modulus, ties in the caller's order, so that
+    the small nodes come first in the rows e_0 R**j: with the large nodes
+    first their terms can reach 1e9 times the value they sum to.
 
     A pair is the 2 x 2 block [[a, beta], [-b**2 / beta, a]], whose
     characteristic polynomial is (s - a)**2 + b**2, and the superdiagonal
     entries between blocks are 1.  So det(sI - R) = p(s), the cofactor of
-    the corner is the product P of the betas, and Phi^(m)(x) =
+    the corner is the product P of the superdiagonal, and Phi^(m)(x) =
     (R**m expm(x*R))[0, n] / P.  beta is max(b, 1): a block with b > 1 is
     then a times the identity plus b times a rotation generator, of norm
     |a +- ib| like the pair's own, so that |R|_2 stays close to |Z|_2 and
     scaling depths do not grow; a block with b <= 1 is a Jordan block
-    perturbed by -b**2, and P stays clear of underflow.  Returns (diagonal,
-    upper, lower, P), with P the product of ``upper`` in order; a P past the
-    float range is refused with ValueError.
+    perturbed by -b**2, and P stays clear of underflow.  Where the betas
+    multiply past the float range, the entry after each pair block is
+    1/beta instead of 1: a diagonal similarity, which leaves every value
+    unchanged and P within range.  Returns (diagonal, upper, lower, P),
+    with P the product of ``upper`` in order.
     """
-    blocks, done = [], set()
-    for i, v in enumerate(entries):
+    nodes, done = [], set()
+    for i in range(len(entries)):
         if i in done:
             continue
-        j = partners[i]
-        done.add(i)
-        if v.imag and j not in done:
-            done.add(j)
-            w = entries[j]
-            a, b = 0.5 * v.real + 0.5 * w.real, 0.5 * abs(v.imag) + 0.5 * abs(w.imag)
-            blocks.append((abs(complex(a, b)), i, a, b))
-        else:
-            blocks.append((abs(v.real), i, v.real, None))
-    blocks.sort(key=lambda block: block[:2])
-    diagonal, upper, lower = [], [], []
-    for _, _, a, b in blocks:
-        if diagonal:
-            upper.append(1.0)
-            lower.append(0.0)
-        if b is None:
-            diagonal.append(a)
-            continue
-        beta = max(b, 1.0)
-        diagonal += [a, a]
-        upper.append(beta)
-        lower.append(-(b / beta) * b)
-    cofactor = math.prod(upper)
-    if not math.isfinite(cofactor):
-        raise ValueError("the conjugate pairs' imaginary parts multiply past the float range")
-    return np.array(diagonal), np.array(upper), np.array(lower), cofactor
+        cycle = [i]
+        while partners[cycle[-1]] != i:
+            cycle.append(partners[cycle[-1]])
+        done.update(cycle)
+        for j, k in zip(cycle[::2], cycle[1::2]):
+            v, w = entries[j], entries[k]
+            if v.imag or w.imag:
+                a, b = 0.5 * v.real + 0.5 * w.real, 0.5 * abs(v.imag) + 0.5 * abs(w.imag)
+                nodes.append((abs(complex(a, b)), j, a, b))
+            else:
+                nodes += [(abs(v.real), j, v.real, None), (abs(w.real), k, w.real, None)]
+        if len(cycle) % 2:
+            nodes.append((abs(entries[cycle[-1]].real), cycle[-1], entries[cycle[-1]].real, None))
+    nodes.sort(key=lambda node: node[:2])
+    for balanced in (False, True):
+        diagonal, upper, lower, joint = [], [], [], 1.0
+        for _, _, a, b in nodes:
+            if diagonal:
+                upper.append(joint)
+                lower.append(0.0)
+            joint = 1.0
+            if b is None:
+                diagonal.append(a)
+                continue
+            beta = max(b, 1.0)
+            diagonal += [a, a]
+            upper.append(beta)
+            lower.append(-(b / beta) * b)
+            if balanced:
+                joint = 1.0 / beta
+        cofactor = math.prod(upper)
+        if math.isfinite(cofactor):
+            return np.array(diagonal), np.array(upper), np.array(lower), cofactor
+    raise ValueError("the conjugate pairs' imaginary parts multiply past the float range")
 
 
 def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
@@ -320,8 +334,9 @@ def _order_rows(ev: FundamentalEvaluator, max_order: int) -> np.ndarray:
     The j-th derivative is the j-th row dotted with the last column of
     expm(x*A).  The rows come from the three-term recurrence on the row
     side, (r A)[i] = upper[i-1] r[i-1] + diagonal[i] r[i] + lower[i] r[i+1],
-    once per call; for the bidiagonal Z, whose cofactor is 1, it is r[i-1] +
-    l_i r[i].  The diagonal entry of row j is the product of the first j
+    once per call, with the ``lower`` term only for R.  Z has ``upper`` all
+    ones and cofactor 1, so the rows of a real Z are r[i-1] + l_i r[i] to
+    the bit.  The diagonal entry of row j is the product of the first j
     entries of ``upper``, formed in the order ``math.prod`` forms the
     cofactor, so row n ends in exactly 1 and Phi^(n)(0) = 1 exactly.
     """
@@ -330,16 +345,13 @@ def _order_rows(ev: FundamentalEvaluator, max_order: int) -> np.ndarray:
     diag = ev.diagonal
     rows = np.zeros((max_order + 1, len(diag)), dtype=diag.dtype)
     rows[0, 0] = 1.0
-    if ev.lower is None:
-        for prev, row in zip(rows, rows[1:]):
-            np.multiply(diag, prev, out=row)
-            np.add(row[1:], prev[:-1], out=row[1:])
-        return rows
     for prev, row in zip(rows, rows[1:]):
         np.multiply(diag, prev, out=row)
         row[1:] += ev.upper * prev[:-1]
-        row[:-1] += ev.lower * prev[1:]
-    rows /= ev.cofactor
+        if ev.lower is not None:
+            row[:-1] += ev.lower * prev[1:]
+    if ev.cofactor != 1.0:
+        rows /= ev.cofactor
     return rows
 
 

@@ -18,6 +18,7 @@ from expfun import (
     eval_via_partial_fractions,
     eval_via_taylor,
 )
+from expfun.frequencies import _conjugate_partners
 from mpmath_oracle import eval_via_mpmath, expm_via_mpmath
 
 
@@ -571,8 +572,10 @@ class TestDerivativeTable:
 
 #: Conjugate-closed vectors at the edges of the pair blocks, with abscissae: a
 #: tiny and a near-underflow imaginary part, a large one at small x (depths 0 to
-#: 3), a repeated pair, a real node of the pair's modulus, and pairs that
-#: are conjugate only to 1e-12, in the real and in the imaginary part.
+#: 3), a repeated pair, a real node of the pair's modulus, pairs that are
+#: conjugate only to 1e-12, in the real and in the imaginary part, and a
+#: repeated pair closed only to 3e-11, whose conjugate matching is the cycle
+#: 0 -> 3 -> 2 -> 1 -> 0 rather than two swaps.
 EDGE_PAIRS = {
     "b_1e-8": ([0.3 + 1e-8j, 0.3 - 1e-8j, -1.0], [0.5, 3.0, -2.0]),
     "b_1e-300": ([0.3 + 1e-300j, 0.3 - 1e-300j, -1.0], [0.5, 3.0, -2.0]),
@@ -581,6 +584,8 @@ EDGE_PAIRS = {
     "real_of_same_modulus": ([0.6 + 0.8j, 0.6 - 0.8j, -1.0, 1.0], [0.7, -1.3, 2.5]),
     "real_part_off_1e-12": ([0.4 + 1e-12 + 1.5j, 0.4 - 1.5j, -0.7], [0.7, -1.3, 2.5]),
     "imag_part_off_1e-12": ([0.4 + (1.5 + 1e-12) * 1j, 0.4 - 1.5j, -0.7], [0.7, -1.3, 6.0]),
+    "repeated_pair_matched_in_a_cycle": ([1 + 1j, 1 - 1j + 3e-11, 1 + 1j + 1.8e-11, 1 - 1j + 1e-11],
+                                         [0.5, 2.0, -1.0]),
 }
 
 
@@ -625,9 +630,28 @@ class TestConjugateRealization:
         err = np.abs(table - ref) / np.maximum(1.0, np.abs(ref))
         assert err.max() <= 1e-12, err.max()
 
-    def test_cofactor_past_the_float_range_refused(self):
-        with pytest.raises(ValueError, match="multiply past the float range"):
-            build_evaluator([1e200j, -1e200j, 2e200j, -2e200j])
+    def test_conjugate_matching_in_a_cycle_gives_pair_blocks(self):
+        # Each entry of the cycle is paired with the next one: two blocks of 1 +- i,
+        # never a non-real entry read as a real node.
+        entries = EDGE_PAIRS["repeated_pair_matched_in_a_cycle"][0]
+        assert _conjugate_partners(entries) == [3, 0, 1, 2]
+        ev = build_evaluator(entries)
+        assert ev.lower.tolist() == [-1.0, 0.0, -1.0]
+        assert np.allclose(ev.diagonal, 1.0, rtol=0.0, atol=1e-10)
+
+    def test_cofactor_past_the_float_range_is_balanced(self):
+        # The betas 1e200 and 2e200 multiply past the float range, so the entry after
+        # the first block is 1e-200 and P is 2e200.  As on Z, orders 0 and 1 at these
+        # abscissae underflow to the reference's 0, and order 2 overflows in the rows.
+        entries = [1e200j, -1e200j, 2e200j, -2e200j]
+        ev = build_evaluator(entries)
+        assert ev.upper.tolist() == [1e200, 1e-200, 2e200] and ev.cofactor == 2e200
+        xs = [1e-201, -3e-195, 5e-183]
+        assert derivative_table(ev, xs, 1).tolist() == [[0.0, 0.0]] * 3
+        for x in xs:
+            assert abs(eval_via_mpmath(entries, 1, x)) < 1e-300
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+            derivative_table(ev, xs, 2)
 
 
 class TestDerivativeGrid:
