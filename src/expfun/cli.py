@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from .frequencies import FrequencyVector, check_necessary
-from .fundamental import build_evaluator, derivative_grid
+from .fundamental import build_evaluator, derivative_grid, derivative_table
 from .inequalities import (
     CertificateKind,
     DEFAULT_GRID,
@@ -41,7 +41,6 @@ from .inequalities import (
     _refine_sign_change,
     _scaled,
     _turan_ratios,
-    hankel_matrix,
     is_positive_definite,
     monotonicity_certificate,
     verify_sign,
@@ -236,13 +235,15 @@ def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
     lo, hi = interval
     ev = build_evaluator(frequencies)
     xs = np.linspace(lo, hi, samples)
-    mats = _hankel(_scaled(derivative_grid(ev, lo, hi, samples, max(frequencies.n, 2 * k))), k + 1)
+    top = max(frequencies.n, 2 * k)
+    mats = _hankel(_scaled(derivative_grid(ev, lo, hi, samples, top)), k + 1)
     rows = [[float(x), float(det), is_positive_definite(h, tol)]
             for x, det, h in zip(xs, np.linalg.det(mats), mats)]
 
     # Refined abscissae where the determinant changes sign, by secant steps from the cell
     # ends; a probe returns one determinant per abscissa.
-    det_at = lambda ts: np.linalg.det([hankel_matrix(ev, k, x).entries for x in ts])[:, None]
+    det_at = lambda ts: np.linalg.det(
+        _hankel(_scaled(derivative_table(ev, ts, top)), k + 1))[:, None]
     sign_changes = [_refine_sign_change(det_at, x0, x1, (d0,), (d1,))
                     for (x0, d0, _), (x1, d1, _) in zip(rows, rows[1:])
                     if (d0 < 0.0) != (d1 < 0.0)]

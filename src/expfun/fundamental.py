@@ -4,21 +4,18 @@ The fundamental solution Phi of prod_j (d/dx - l_j) is the unique solution
 with an n-fold zero at the origin and n-th derivative equal to one there.  It
 equals the divided difference of t -> exp(x*t) over the frequency nodes, so by
 Opitz' theorem the m-th derivative at x is the top-right entry of
-Z**m @ expm(x*Z), where Z is the upper bidiagonal matrix carrying the
-frequencies on the diagonal and ones above it.  This representation needs no
-case analysis for repeated (confluent) frequencies.
+A**m @ expm(x*A) / P for any matrix A that realizes 1/p(s), the Laplace
+transform of Phi, p the characteristic polynomial, with P the cofactor of
+that entry (the cascade realization of linear systems theory).  This
+representation needs no case analysis for repeated (confluent) frequencies.
 
-A conjugate-closed vector gives an operator with real coefficients and a
-real Phi, and a real matrix of the same size realizes 1/p(s), the Laplace
-transform of Phi, p the characteristic polynomial (the cascade realization
-of linear systems theory).  ``build_evaluator`` gives such a vector, when it
-has non-real entries, the real tridiagonal R of ``_pair_blocks`` in place of
-Z: its nodes in ascending modulus, each pair a +- ib a 2 x 2 block, and
-Phi^(m)(x) = (R**m expm(x*R))[0, n] / P for a cofactor P fixed per
-evaluator.  Its values are exactly real, in real arithmetic throughout.  An
-all-real vector keeps Z in the caller's order, real; so does a vector that
-is not conjugate-closed, complex, which only ``eval_derivative_complex``
-evaluates.  Below, A is the evaluator's matrix, Z or R.
+``build_evaluator`` builds every A by one rule, ``_realization``: a
+tridiagonal matrix with the nodes in ascending modulus, each conjugate pair
+a +- ib a real 2 x 2 block, and 1 or, after a block, 1/max(b, 1) between
+nodes.  A conjugate-closed vector, whose operator has real coefficients and
+whose Phi is real, gets a real A and values that are exactly real, in real
+arithmetic throughout; a vector that is not closed keeps its complex nodes,
+and only ``eval_derivative_complex`` evaluates it.
 
 Two entry points tabulate the orders 0..m, both on one stacked Taylor
 scaling-and-squaring kernel that takes a batch of abscissae, in the dtype
@@ -104,26 +101,21 @@ _CHUNK_ENTRIES = 4096
 class FundamentalEvaluator:
     """Precomputed state for evaluating derivatives of the fundamental solution.
 
-    The evaluator holds an (n+1) x (n+1) tridiagonal matrix A, with
-    ``diagonal``, ``upper`` (superdiagonal) and ``lower`` (subdiagonal), for
-    which Phi^(m)(x) = (A**m expm(x*A))[0, n] / ``cofactor``.
-
-    * A vector with a non-real entry that is not conjugate-closed gets the
-      complex bidiagonal Z of the module docstring, in the caller's order;
-      ``lower`` is None and ``cofactor`` 1.
-    * An all-real vector gets the same Z, real, also in the caller's order.
-    * A conjugate-closed vector with non-real entries gets the real matrix R
-      of ``build_evaluator``: its nodes in ascending modulus, each pair in a
-      2 x 2 block, ``lower`` nonzero only inside the blocks, and
-      ``cofactor`` the product of ``upper``.  Its values are exactly real.
+    The evaluator holds the (n+1) x (n+1) tridiagonal matrix A of
+    ``_realization``, with ``diagonal``, ``upper`` (superdiagonal) and
+    ``lower`` (subdiagonal, None when there is no pair block), for which
+    Phi^(m)(x) = (A**m expm(x*A))[0, n] / ``cofactor``.  A is real for a
+    conjugate-closed vector, whose values are then exactly real, and complex
+    otherwise; ``realify`` reads which off the dtype of ``diagonal``.
+    ``freq`` keeps the caller's order, while A depends only on the multiset
+    of frequencies when its pairs are exact conjugates.
 
     ``norm`` is the spectral norm nu of A, which fixes the scaling depth at
     every abscissa.  ``powers`` is the read-only (n+19, (n+1)**2) stack of
     the flattened powers (A/nu)**k, k = 0..n+18, the basis in which the
     Taylor kernel writes every matrix; nu = 1 stands in for these powers when
     A = 0, which happens only for the single frequency 0, while ``norm``
-    stays 0.  ``realify`` records whether the frequency vector is
-    conjugate-closed, that is whether A is real.
+    stays 0.
     """
 
     freq: FrequencyVector
@@ -133,29 +125,21 @@ class FundamentalEvaluator:
     cofactor: float = field(repr=False, compare=False)
     powers: np.ndarray = field(repr=False, compare=False)
     norm: float
-    realify: bool
 
     @property
     def n(self) -> int:
         return self.freq.n
 
+    @property
+    def realify(self) -> bool:
+        """Whether the frequency vector is conjugate-closed, that is whether A is real."""
+        return self.diagonal.dtype != complex
+
 
 def build_evaluator(freq) -> FundamentalEvaluator:
-    """Build an evaluator for the given frequency vector.
-
-    A conjugate-closed vector with non-real entries is realized by a real
-    tridiagonal R (see ``_pair_blocks``); every other vector by the
-    bidiagonal Z in the caller's order, real when every frequency is.
-    """
+    """Build an evaluator for the given frequency vector on its matrix from ``_realization``."""
     freq = as_frequency_vector(freq)
-    partners = _conjugate_partners(freq)
-    if partners is not None and any(v.imag for v in freq.entries):
-        diagonal, upper, lower, cofactor = _pair_blocks(freq.entries, partners)
-    else:
-        diagonal = np.array(freq.entries, dtype=complex)
-        if partners is not None:
-            diagonal = diagonal.real.copy()
-        upper, lower, cofactor = np.ones(len(diagonal) - 1), None, 1.0
+    diagonal, upper, lower, cofactor = _realization(freq.entries, _conjugate_partners(freq))
     z = np.diag(diagonal) + np.diag(upper, 1)
     if lower is not None:
         z += np.diag(lower, -1)
@@ -170,78 +154,83 @@ def build_evaluator(freq) -> FundamentalEvaluator:
         if array is not None:
             array.setflags(write=False)
     return FundamentalEvaluator(freq=freq, diagonal=diagonal, upper=upper, lower=lower,
-                                cofactor=cofactor, powers=powers, norm=norm,
-                                realify=partners is not None)
+                                cofactor=cofactor, powers=powers, norm=norm)
 
 
-def _pair_blocks(entries, partners) -> tuple:
-    """Diagonals and corner cofactor of the real tridiagonal R for a conjugate-closed vector.
+def _realization(entries, partners) -> tuple:
+    """Diagonals and corner cofactor of the tridiagonal A that realizes 1/p(s).
 
-    ``_conjugate_partners`` maps each entry to the entry matched to its
-    conjugate.  That map is a permutation but, for repeated pairs closed
-    only within the matching tolerance, not always an involution: it can
-    run 0 -> 3 -> 2 -> 1 -> 0.  Each of its cycles is therefore cut into
-    consecutive members, each matched to the next: a pair u, w with a
-    non-real entry becomes a +- ib, a the mean of the real parts and b the
-    mean of the moduli of the imaginary parts, while two real entries stay
-    two real nodes.  The member left over by a cycle of odd length, real
-    to within the matching tolerance, becomes its real part.  The blocks
-    are ordered by ascending modulus, ties in the caller's order, so that
-    the small nodes come first in the rows e_0 R**j: with the large nodes
-    first their terms can reach 1e9 times the value they sum to.
+    ``partners`` is ``_conjugate_partners``' map from each entry to the entry
+    matched to its conjugate, or None for a vector that is not
+    conjugate-closed, each of whose entries is then its own node and keeps
+    its complex value.  For a closed vector the map is a permutation but,
+    for repeated pairs closed only within the matching tolerance, not always
+    an involution: it can run 0 -> 3 -> 2 -> 1 -> 0.  Each of its cycles is
+    therefore cut into consecutive members, each matched to the next: a pair
+    u, w with a non-real entry becomes a +- ib, a the mean of the real parts
+    and b the mean of the moduli of the imaginary parts, while two real
+    entries stay two real nodes.  The member left over by a cycle of odd
+    length, real to within the matching tolerance, becomes its real part.
+    The nodes are ordered by ascending modulus, then real part, then
+    imaginary part, so that the small nodes come first in the rows e_0 A**j
+    (with the large nodes first their terms can reach 1e9 times the value
+    they sum to) and A does not depend on the caller's order, except through
+    the matching of repeated pairs closed only within the tolerance.
 
-    A pair is the 2 x 2 block [[a, beta], [-b**2 / beta, a]], whose
-    characteristic polynomial is (s - a)**2 + b**2, and the superdiagonal
-    entries between blocks are 1.  So det(sI - R) = p(s), the cofactor of
-    the corner is the product P of the superdiagonal, and Phi^(m)(x) =
-    (R**m expm(x*R))[0, n] / P.  beta is max(b, 1): a block with b > 1 is
-    then a times the identity plus b times a rotation generator, of norm
-    |a +- ib| like the pair's own, so that |R|_2 stays close to |Z|_2 and
-    scaling depths do not grow; a block with b <= 1 is a Jordan block
-    perturbed by -b**2, and P stays clear of underflow.  Where the betas
-    multiply past the float range, the entry after each pair block is
-    1/beta instead of 1: a diagonal similarity, which leaves every value
-    unchanged and P within range.  Returns (diagonal, upper, lower, P),
-    with P the product of ``upper`` in order.
+    A single node is a diagonal entry; a pair is the 2 x 2 block [[a, beta],
+    [-b**2 / beta, a]], whose characteristic polynomial is (s - a)**2 + b**2,
+    with beta = max(b, 1).  A block with b > 1 is then a times the identity
+    plus b times a rotation generator, of norm |a +- ib| like the pair's own,
+    so that |A|_2 stays close to that of the bidiagonal matrix of the nodes
+    and scaling depths do not grow; a block with b <= 1 is a Jordan block
+    perturbed by -b**2.  The superdiagonal entry after a block is 1/beta, a
+    diagonal similarity, and every other one between nodes is 1.  So
+    det(sI - A) = p(s), the cofactor of the corner is the product P of the
+    superdiagonal, and Phi^(m)(x) = (A**m expm(x*A))[0, n] / P.  Up to
+    rounding P is the last node's beta when that node is a pair and 1
+    otherwise, so it never overflows.  Returns (diagonal, upper, lower, P):
+    ``diagonal`` is float for a closed vector and complex otherwise,
+    ``lower`` is None when there is no pair block, and P is the product of
+    ``upper`` in order, exactly 1.0 without blocks.
     """
-    nodes, done = [], set()
-    for i in range(len(entries)):
-        if i in done:
-            continue
-        cycle = [i]
-        while partners[cycle[-1]] != i:
-            cycle.append(partners[cycle[-1]])
-        done.update(cycle)
-        for j, k in zip(cycle[::2], cycle[1::2]):
-            v, w = entries[j], entries[k]
-            if v.imag or w.imag:
-                a, b = 0.5 * v.real + 0.5 * w.real, 0.5 * abs(v.imag) + 0.5 * abs(w.imag)
-                nodes.append((abs(complex(a, b)), j, a, b))
-            else:
-                nodes += [(abs(v.real), j, v.real, None), (abs(w.real), k, w.real, None)]
-        if len(cycle) % 2:
-            nodes.append((abs(entries[cycle[-1]].real), cycle[-1], entries[cycle[-1]].real, None))
-    nodes.sort(key=lambda node: node[:2])
-    for balanced in (False, True):
-        diagonal, upper, lower, joint = [], [], [], 1.0
-        for _, _, a, b in nodes:
-            if diagonal:
-                upper.append(joint)
-                lower.append(0.0)
-            joint = 1.0
-            if b is None:
-                diagonal.append(a)
+    if partners is None:
+        nodes = [(v, False) for v in entries]
+    else:
+        nodes, done = [], set()
+        for i in range(len(entries)):
+            if i in done:
                 continue
-            beta = max(b, 1.0)
-            diagonal += [a, a]
-            upper.append(beta)
-            lower.append(-(b / beta) * b)
-            if balanced:
-                joint = 1.0 / beta
-        cofactor = math.prod(upper)
-        if math.isfinite(cofactor):
-            return np.array(diagonal), np.array(upper), np.array(lower), cofactor
-    raise ValueError("the conjugate pairs' imaginary parts multiply past the float range")
+            cycle = [i]
+            while partners[cycle[-1]] != i:
+                cycle.append(partners[cycle[-1]])
+            done.update(cycle)
+            for j, k in zip(cycle[::2], cycle[1::2]):
+                v, w = entries[j], entries[k]
+                if v.imag or w.imag:
+                    nodes.append((complex(0.5 * v.real + 0.5 * w.real,
+                                          0.5 * abs(v.imag) + 0.5 * abs(w.imag)), True))
+                else:
+                    nodes += [(v.real, False), (w.real, False)]
+            if len(cycle) % 2:
+                nodes.append((entries[cycle[-1]].real, False))
+    nodes.sort(key=lambda node: (abs(node[0]), node[0].real, node[0].imag))
+    diagonal, upper, lower, joint = [], [], [], 1.0
+    for value, pair in nodes:
+        if diagonal:
+            upper.append(joint)
+            lower.append(0.0)
+        joint = 1.0
+        if not pair:
+            diagonal.append(value)
+            continue
+        a, b = value.real, value.imag
+        beta = max(b, 1.0)
+        diagonal += [a, a]
+        upper.append(beta)
+        lower.append(-(b / beta) * b)
+        joint = 1.0 / beta
+    return (np.array(diagonal), np.array(upper), np.array(lower) if any(lower) else None,
+            math.prod(upper, start=1.0))
 
 
 def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
@@ -334,11 +323,11 @@ def _order_rows(ev: FundamentalEvaluator, max_order: int) -> np.ndarray:
     The j-th derivative is the j-th row dotted with the last column of
     expm(x*A).  The rows come from the three-term recurrence on the row
     side, (r A)[i] = upper[i-1] r[i-1] + diagonal[i] r[i] + lower[i] r[i+1],
-    once per call, with the ``lower`` term only for R.  Z has ``upper`` all
-    ones and cofactor 1, so the rows of a real Z are r[i-1] + l_i r[i] to
-    the bit.  The diagonal entry of row j is the product of the first j
-    entries of ``upper``, formed in the order ``math.prod`` forms the
-    cofactor, so row n ends in exactly 1 and Phi^(n)(0) = 1 exactly.
+    once per call, with the ``lower`` term only where A has a pair block and
+    the division only where the cofactor is not 1.  The diagonal entry of row
+    j is the product of the first j entries of ``upper``, formed in the order
+    ``math.prod`` forms the cofactor, so row n ends in exactly 1 and
+    Phi^(n)(0) = 1 exactly.
     """
     if max_order < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -473,7 +462,7 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     differently from a single column.
 
     Error structure: no factor has a larger |abscissa|, hence no more
-    squarings, than its point.  For real frequencies expm(t*Z) has entries of
+    squarings, than its point.  For real frequencies expm(t*A) has entries of
     the sign of t**(j-i), and the four factors share the sign of t, so every
     product sums terms of one sign and keeps the relative accuracy of a
     single exponential, also at the n-fold zero at the origin; folding the
@@ -566,10 +555,10 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
 def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> complex:
     """m-th derivative of the fundamental solution at x, complex output.
 
-    Serves every frequency vector.  One that is not conjugate-closed runs in
-    complex arithmetic on Z in the caller's order; a closed one runs on its
-    real matrix, so the value is exactly real, that of ``eval_derivative``.
-    A value that is not finite raises OverflowError, as in ``eval_derivative``.
+    Serves every frequency vector, on the evaluator's matrix: complex
+    arithmetic for one that is not conjugate-closed, real for a closed one,
+    whose value is then exactly real, that of ``eval_derivative``.  A value
+    that is not finite raises OverflowError, as in ``eval_derivative``.
     """
     return complex(_table(ev, [x], _order_rows(ev, m))[0, m])
 

@@ -44,6 +44,8 @@ class Measure:
     density: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
+        if len(self.support) != 2:
+            raise ValueError(f"support needs exactly two bounds, got {len(self.support)}")
         a, b = (float(self.support[0]), float(self.support[1]))
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"support bounds must be finite, got [{a}, {b}]")

@@ -108,9 +108,9 @@ class TestHankel:
 
     def test_sign_change_takes_fewer_calls_than_bisection(self, tmp_path, capsys, monkeypatch):
         calls = []
-        original = expfun.cli.hankel_matrix
-        monkeypatch.setattr(expfun.cli, "hankel_matrix",
-                            lambda ev, k, x: calls.append(x) or original(ev, k, x))
+        original = expfun.cli.derivative_table
+        monkeypatch.setattr(expfun.cli, "derivative_table",
+                            lambda ev, xs, m: calls.append(xs) or original(ev, xs, m))
         cfg = write_config(tmp_path, {
             "frequencies": [-1, -2], "k": 1, "interval": [0, 3], "samples": 257,
         })
@@ -243,6 +243,14 @@ class TestMoments:
         assert not report["hypothesis_certified"]
         code, _, _ = run(capsys, ["moments", "--config", cfg, "--assert"])
         assert code == 1
+
+    def test_extra_support_bound_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "frequencies": [0, 1, -1],
+            "measure": {"kind": "atoms", "support": [0, 1, 7], "atoms": [[0.5, 1.0]]},
+        })
+        code, out, err = run(capsys, ["moments", "--config", cfg])
+        assert code == 2 and out == "" and "two bounds" in err
 
     def test_unknown_density_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -323,11 +323,22 @@ def assert_matches_mpmath(entries, table, xs, share):
 MPMATH_SHARE = 1e-12
 
 
+#: Vectors and abscissae for orders up to 2n+2: twelve real and twelve conjugate
+#: frequencies, and six real nodes of both signs.  With the last vector's nodes in
+#: the given order the rows e_0 A**12 reach 2.3e4 of both signs against a value
+#: of 0.23, and Phi^(12) loses seven digits; ascending modulus avoids that.
+HIGH_ORDER_CASES = [
+    (twelve_frequency_vectors()[0], [-2.5, 0.3, 8.0]),
+    (twelve_frequency_vectors()[1], [-2.5, 0.3, 8.0]),
+    ([-0.6910898018753322, -1.096578674410596, -0.6756523989493566, -2.695193814204215,
+      0.32530131670639806, 0.7450062875224956], [4.948217677861194]),
+]
+
+
 class TestHighPrecisionOracle:
-    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("which", range(len(HIGH_ORDER_CASES)))
     def test_orders_up_to_2n_plus_2(self, which):
-        entries = twelve_frequency_vectors()[which]
-        xs = [-2.5, 0.3, 8.0]
+        entries, xs = HIGH_ORDER_CASES[which]
         table = derivative_table(build_evaluator(entries), xs, 2 * (len(entries) - 1) + 2)
         assert_matches_mpmath(entries, table, xs, MPMATH_SHARE)
 
@@ -364,9 +375,10 @@ EXPM_VECTORS = {
 class TestExponentialsOracle:
     """Every entry of the kernel's expm(x*A) against 40-digit mpmath, A the evaluator's matrix.
 
-    A is the bidiagonal Z for real vectors and the real tridiagonal R for
-    conjugate pairs.  The grid's fine and coarse factors use whole matrices,
-    not only the last column that the derivatives read.
+    A is the real matrix of ``_realization``, its nodes in ascending modulus:
+    bidiagonal for real vectors, with 2 x 2 blocks for conjugate pairs.  The
+    grid's fine and coarse factors use whole matrices, not only the last
+    column that the derivatives read.
     """
 
     @pytest.mark.parametrize("name", list(EXPM_VECTORS))
@@ -547,7 +559,7 @@ class TestDerivativeTable:
     def test_conjugate_closed_evaluators_are_real(self):
         # A closed vector is realized by a real matrix: tables, grids and the complex
         # variant are real, the last exactly, and they match the 50-digit reference
-        # on the complex bidiagonal Z in the caller's order.
+        # of the entries as given.
         ev = build_evaluator([-0.5 + 1.3j, -0.5 - 1.3j, 0.2])
         assert ev.realify and ev.diagonal.dtype == ev.powers.dtype == np.float64
         xs = np.linspace(0.3, 5.0, 50)
@@ -595,7 +607,8 @@ class TestConjugateRealization:
     def test_nodes_in_ascending_modulus(self):
         # Blocks of the pairs +-i (modulus 1) and 3 +- 4i (modulus 5) around the real
         # nodes 0.5 and -2; the pair blocks are [[a, beta], [-b**2/beta, a]] with
-        # beta = max(b, 1), joined by ones.  freq keeps the caller's order.
+        # beta = max(b, 1), joined by ones (1/beta = 1 after the block of +-i).  freq
+        # keeps the caller's order.
         entries = [3 + 4j, 0.5, 3 - 4j, -2.0, 1j, -1j]
         ev = build_evaluator(entries)
         assert ev.freq.entries == tuple(entries)
@@ -603,13 +616,16 @@ class TestConjugateRealization:
         assert ev.upper.tolist() == [1.0, 1.0, 1.0, 1.0, 4.0]
         assert ev.lower.tolist() == [0.0, -1.0, 0.0, 0.0, -4.0]
         assert ev.cofactor == 4.0
-        # A real vector keeps Z in the caller's order; so does a vector that is not closed.
-        assert build_evaluator([2.0, -1.0]).diagonal.tolist() == [2.0, -1.0]
-        assert build_evaluator([2.0, 1j]).lower is None
+        # Every vector takes that order: a real one, and one that is not closed, whose
+        # nodes keep their complex values, with no pair block.
+        assert build_evaluator([2.0, -1.0]).diagonal.tolist() == [-1.0, 2.0]
+        ev = build_evaluator([2.0, 1j])
+        assert ev.diagonal.tolist() == [1j, 2.0] and ev.diagonal.dtype == complex
+        assert ev.lower is None and not ev.realify
 
     @pytest.mark.parametrize("name", list(EDGE_PAIRS))
     def test_edge_pairs_match_mpmath(self, name):
-        # Orders 0..n+3 against 50 digits on the complex Z in the caller's order.  The
+        # Orders 0..n+3 against the 50-digit reference of the entries as given.  The
         # vectors off by 1e-12 are closed only within the matching tolerance: the
         # reference is their complex value, whose imaginary part is of that order.
         entries, xs = EDGE_PAIRS[name]
@@ -630,6 +646,23 @@ class TestConjugateRealization:
         err = np.abs(table - ref) / np.maximum(1.0, np.abs(ref))
         assert err.max() <= 1e-12, err.max()
 
+    def test_shuffled_vectors_give_identical_tables(self):
+        # The matrix depends only on the multiset of frequencies, so every shuffle of
+        # an exact vector gives the same table to the bit: real vectors, conjugate
+        # pairs and vectors that are not closed.
+        rng = np.random.default_rng(22)
+        vectors = [list(rng.uniform(-3.0, 3.0, size=7)), [-1.0, -1.0, 2.0, 0.5, -0.5],
+                   random_conjugate_closed(rng, 6), twelve_frequency_vectors()[1],
+                   [1j, 0.5, -2.0, 1 + 1j, -0.3 - 0.7j, 2.0]]
+        xs = [-2.0, 0.4, 3.1]
+        for entries in vectors:
+            ev = build_evaluator(entries)
+            table = fundamental._table(ev, xs, fundamental._order_rows(ev, len(entries) + 2))
+            for _ in range(4):
+                shuffled = build_evaluator([entries[i] for i in rng.permutation(len(entries))])
+                rows = fundamental._order_rows(shuffled, len(entries) + 2)
+                assert np.array_equal(fundamental._table(shuffled, xs, rows), table), entries
+
     def test_conjugate_matching_in_a_cycle_gives_pair_blocks(self):
         # Each entry of the cycle is paired with the next one: two blocks of 1 +- i,
         # never a non-real entry read as a real node.
@@ -640,9 +673,11 @@ class TestConjugateRealization:
         assert np.allclose(ev.diagonal, 1.0, rtol=0.0, atol=1e-10)
 
     def test_cofactor_past_the_float_range_is_balanced(self):
-        # The betas 1e200 and 2e200 multiply past the float range, so the entry after
-        # the first block is 1e-200 and P is 2e200.  As on Z, orders 0 and 1 at these
-        # abscissae underflow to the reference's 0, and order 2 overflows in the rows.
+        # Every pair block is balanced: the entry after the first block is 1/beta =
+        # 1e-200, so P is the last beta, 2e200, where the betas 1e200 and 2e200 alone
+        # multiply past the float range.  As on the bidiagonal matrix, orders 0 and 1
+        # at these abscissae underflow to the reference's 0, and order 2 overflows in
+        # the rows.
         entries = [1e200j, -1e200j, 2e200j, -2e200j]
         ev = build_evaluator(entries)
         assert ev.upper.tolist() == [1e200, 1e-200, 2e200] and ev.cofactor == 2e200

@@ -42,6 +42,11 @@ class TestMeasure:
         with pytest.raises(ValueError):
             Measure.from_atoms([(2.0, 1.0)], (0, 1))
 
+    @pytest.mark.parametrize("support", [(0, 1, 7), (0,), ()])
+    def test_support_needs_exactly_two_bounds(self, support):
+        with pytest.raises(ValueError, match="two bounds"):
+            Measure.from_atoms([(0.5, 1.0)], support)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Measure(kind="spectral", support=(0, 1))
