@@ -36,18 +36,21 @@ before the squarings:
   use it.
 
 Both read the orders off the last column c of each exponential as
-(e_0 A**j / P) . c, with the rows e_0 A**j / P from a three-term recurrence
-once per call, and both hand those rows to one of two private kernels that
-take the rows they apply: ``_table`` for given abscissae and ``_grid`` for a
-uniform grid.  ``_table`` also serves ``eval_derivative_complex`` and
-``_grid``'s one-point grids.  Sign scans (``verify_sign``) pass only the
-three orders they read to ``_grid``, and refine a sign change by ``_table``
-calls on the same rows, two abscissae at a time.  The table applies the
-rows to every point's finished column with ``einsum``, so that a row does
-not depend on the other abscissae of the call.  The grid makes no such
-promise: it folds the rows into its fine factors, e_0 A**j expm(r*h*A),
-and applies those with a BLAS product to the columns the other factors
-give, so it never forms one column per point.
+(e_0 A**j / P) . c.  The evaluator stores the rows e_0 A**j / P of the
+orders j = 0..n+3, the highest order the library reads itself, from a
+three-term recurrence run once when it is built; a call reads a leading
+slice of them, and only a higher order runs the same recurrence again.
+Both hand those rows to one of two private kernels that take the rows they
+apply: ``_table`` for given abscissae and ``_grid`` for a uniform grid.
+``_table`` also serves ``eval_derivative_complex`` and ``_grid``'s
+one-point grids.  Sign scans (``verify_sign``) pass only the three orders
+they read to ``_grid``, and refine a sign change by ``_table`` calls on the
+same rows, two abscissae at a time.  The table applies the rows to every
+point's finished column with ``einsum``, so that a row does not depend on
+the other abscissae of the call.  The grid makes no such promise: it folds
+the rows into its fine factors, e_0 A**j expm(r*h*A), and applies those
+with a BLAS product to the columns the other factors give, so it never
+forms one column per point.
 
 Two independent evaluation routes, a partial-fraction sum (distinct
 frequencies only) and a truncated power series, are provided for
@@ -96,6 +99,11 @@ _MAX_SQUARINGS = 60
 #: bounds the kernel's working memory whatever the number of abscissae.
 _CHUNK_ENTRIES = 4096
 
+#: Orders past n whose rows e_0 A**j / P every evaluator stores: n+3 is the
+#: highest order the library reads itself, in the sign scan of order n+1 that
+#: ``moments.transform`` runs, which reads orders n+1..n+3.
+_STORED_ORDERS_PAST_N = 3
+
 
 @dataclass(frozen=True, slots=True)
 class FundamentalEvaluator:
@@ -110,6 +118,10 @@ class FundamentalEvaluator:
     ``freq`` keeps the caller's order, while A depends only on the multiset
     of frequencies when its pairs are exact conjugates.
 
+    ``rows`` is the read-only (n+4, n+1) array of the rows e_0 A**j /
+    ``cofactor``, j = 0..n+3, from ``_row_recurrence``; ``_order_rows``
+    reads its leading slices.
+
     ``norm`` is the spectral norm nu of A, which fixes the scaling depth at
     every abscissa.  ``powers`` is the read-only (n+19, (n+1)**2) stack of
     the flattened powers (A/nu)**k, k = 0..n+18, the basis in which the
@@ -123,6 +135,7 @@ class FundamentalEvaluator:
     upper: np.ndarray = field(repr=False, compare=False)
     lower: Optional[np.ndarray] = field(repr=False, compare=False)
     cofactor: float = field(repr=False, compare=False)
+    rows: np.ndarray = field(repr=False, compare=False)
     powers: np.ndarray = field(repr=False, compare=False)
     norm: float
 
@@ -137,9 +150,16 @@ class FundamentalEvaluator:
 
 
 def build_evaluator(freq) -> FundamentalEvaluator:
-    """Build an evaluator for the given frequency vector on its matrix from ``_realization``."""
+    """Build an evaluator for the given frequency vector on its matrix from ``_realization``.
+
+    The stored rows may pass the float range, as for [1e200j, -1e200j,
+    2e200j, -2e200j] from order 2 on; they are built without a warning, and
+    a value read from such a row is refused (``_finite``).
+    """
     freq = as_frequency_vector(freq)
     diagonal, upper, lower, cofactor = _realization(freq.entries, _conjugate_partners(freq))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _row_recurrence(diagonal, upper, lower, cofactor, freq.n + _STORED_ORDERS_PAST_N)
     z = np.diag(diagonal) + np.diag(upper, 1)
     if lower is not None:
         z += np.diag(lower, -1)
@@ -150,11 +170,11 @@ def build_evaluator(freq) -> FundamentalEvaluator:
     for k in range(1, len(powers)):
         powers[k] = powers[k - 1] @ unit
     powers = powers.reshape(len(powers), -1)
-    for array in (diagonal, upper, lower, powers):
+    for array in (diagonal, upper, lower, rows, powers):
         if array is not None:
             array.setflags(write=False)
     return FundamentalEvaluator(freq=freq, diagonal=diagonal, upper=upper, lower=lower,
-                                cofactor=cofactor, powers=powers, norm=norm)
+                                cofactor=cofactor, rows=rows, powers=powers, norm=norm)
 
 
 def _realization(entries, partners) -> tuple:
@@ -321,26 +341,40 @@ def _order_rows(ev: FundamentalEvaluator, max_order: int) -> np.ndarray:
     """Rows e_0 A**j / cofactor, j = 0..max_order, for the evaluator's matrix A.
 
     The j-th derivative is the j-th row dotted with the last column of
-    expm(x*A).  The rows come from the three-term recurrence on the row
-    side, (r A)[i] = upper[i-1] r[i-1] + diagonal[i] r[i] + lower[i] r[i+1],
-    once per call, with the ``lower`` term only where A has a pair block and
-    the division only where the cofactor is not 1.  The diagonal entry of row
-    j is the product of the first j entries of ``upper``, formed in the order
-    ``math.prod`` forms the cofactor, so row n ends in exactly 1 and
-    Phi^(n)(0) = 1 exactly.
+    expm(x*A).  Orders up to n+3 are a leading slice of the stored
+    ``ev.rows``, read-only and C-contiguous; a higher order runs
+    ``_row_recurrence`` from row 0, whose leading rows equal the stored ones
+    bit for bit.
     """
     if max_order < 0:
         raise ValueError("derivative order must be nonnegative")
-    diag = ev.diagonal
-    rows = np.zeros((max_order + 1, len(diag)), dtype=diag.dtype)
+    if max_order < len(ev.rows):
+        return ev.rows[:max_order + 1]
+    return _row_recurrence(ev.diagonal, ev.upper, ev.lower, ev.cofactor, max_order)
+
+
+def _row_recurrence(diagonal: np.ndarray, upper: np.ndarray, lower: Optional[np.ndarray],
+                    cofactor: float, max_order: int) -> np.ndarray:
+    """Rows e_0 A**j / cofactor, j = 0..max_order, for the tridiagonal A of ``_realization``.
+
+    The rows come from the three-term recurrence on the row side,
+    (r A)[i] = upper[i-1] r[i-1] + diagonal[i] r[i] + lower[i] r[i+1], with
+    the ``lower`` term only where A has a pair block and the division only
+    where the cofactor is not 1.  Each row depends only on the one before,
+    so the rows up to any order do not depend on ``max_order``.  The
+    diagonal entry of row j is the product of the first j entries of
+    ``upper``, formed in the order ``math.prod`` forms the cofactor, so row
+    n ends in exactly 1 and Phi^(n)(0) = 1 exactly.
+    """
+    rows = np.zeros((max_order + 1, len(diagonal)), dtype=diagonal.dtype)
     rows[0, 0] = 1.0
     for prev, row in zip(rows, rows[1:]):
-        np.multiply(diag, prev, out=row)
-        row[1:] += ev.upper * prev[:-1]
-        if ev.lower is not None:
-            row[:-1] += ev.lower * prev[1:]
-    if ev.cofactor != 1.0:
-        rows /= ev.cofactor
+        np.multiply(diagonal, prev, out=row)
+        row[1:] += upper * prev[:-1]
+        if lower is not None:
+            row[:-1] += lower * prev[1:]
+    if cofactor != 1.0:
+        rows /= cofactor
     return rows
 
 

@@ -376,14 +376,25 @@ def hankel_matrix(ev: FundamentalEvaluator, k: int, x: float) -> HankelMatrix:
     return HankelMatrix(entries=h, x=float(x), k=k)
 
 
+#: j! as floats, j = 0..170; 171! is past the float range.
+_FACTORIALS = np.array([float(math.factorial(j)) for j in range(171)])
+_FACTORIALS.setflags(write=False)
+
+
+def _factorials(count: int) -> np.ndarray:
+    """j! as floats, j = 0..count-1: a slice of ``_FACTORIALS``; OverflowError past 170!."""
+    if count > len(_FACTORIALS):
+        raise OverflowError(f"{count - 1}! is past the float range")
+    return _FACTORIALS[:count]
+
+
 def _scaled(rows: np.ndarray) -> np.ndarray:
     """Factorial-weighted reversed rows: entry j is j! * rows[..., top - j], top the last order.
 
     For a derivative table with top order n these are the basis values
     b_j = j! Phi^(n-j).
     """
-    factorials = np.array([float(math.factorial(j)) for j in range(rows.shape[-1])])
-    return factorials * rows[..., ::-1]
+    return _factorials(rows.shape[-1]) * rows[..., ::-1]
 
 
 def _hankel(seq: np.ndarray, size: int, offset: int = 0) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fundamental import FundamentalEvaluator, derivative_table
-from .inequalities import _hankel, as_polynomial, cholesky_factor, verify_sign
+from .inequalities import _factorials, _hankel, as_polynomial, cholesky_factor, verify_sign
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -113,8 +113,7 @@ class MomentSequence:
 def _basis_sum(ev: FundamentalEvaluator, ts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # sum_i w_i b_k(t_i) for k = 0..n, with b_k(t) = k! Phi^(n-k)(t).
     n = ev.n
-    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    return weights @ derivative_table(ev, ts, n)[:, ::-1] * factorials
+    return weights @ derivative_table(ev, ts, n)[:, ::-1] * _factorials(n + 1)
 
 
 #: Starting Gauss-Legendre order for density transforms.

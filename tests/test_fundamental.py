@@ -581,6 +581,31 @@ class TestDerivativeTable:
             with pytest.raises(ValueError, match="finite"):
                 eval_derivative_complex(build_evaluator([1j, 0]), 0, bad)
 
+    @pytest.mark.parametrize("entries", [[-1.0, 0.5, -2.0, 3.0], [-0.5 + 2.5j, -0.5 - 2.5j, 0.3],
+                                         [1j, 0.5, -2.0, 1 + 1j]],
+                             ids=["real", "pair_with_cofactor_2.5", "not_closed"])
+    def test_stored_rows_are_the_leading_rows_of_any_order(self, entries):
+        # The evaluator stores the rows of orders 0..n+3, read-only; a higher order runs
+        # the same recurrence, whose leading rows are the stored ones bit for bit, so a
+        # table up to n+4 repeats the columns of a table up to n+3 exactly.
+        ev = build_evaluator(entries)
+        n = ev.n
+        assert ev.rows.shape == (n + 4, n + 1) and ev.rows.dtype == ev.diagonal.dtype
+        assert (ev.cofactor != 1.0) == (ev.lower is not None)
+        with pytest.raises(ValueError, match="read-only"):
+            ev.rows[0, 0] = 2.0
+        assert np.array_equal(fundamental._order_rows(ev, n + 10)[:n + 4], ev.rows)
+        assert fundamental._order_rows(ev, n + 1).flags.c_contiguous
+        with pytest.raises(ValueError, match="nonnegative"):
+            fundamental._order_rows(ev, -1)
+        xs = [-1.5, 0.0, 0.4, 2.7]
+        if ev.realify:
+            tables = [derivative_table(ev, xs, m) for m in (n + 3, n + 4)]
+        else:
+            tables = [fundamental._table(ev, xs, fundamental._order_rows(ev, m))
+                      for m in (n + 3, n + 4)]
+        assert np.array_equal(tables[1][:, :n + 4], tables[0])
+
 
 #: Conjugate-closed vectors at the edges of the pair blocks, with abscissae: a
 #: tiny and a near-underflow imaginary part, a large one at small x (depths 0 to

@@ -367,6 +367,16 @@ class TestDominance:
 
 
 class TestHankel:
+    def test_factorial_weights_end_at_170(self):
+        # The basis values b_j = j! Phi^(n-j) weigh a reversed derivative row by j! from
+        # one read-only table, exact up to 170!; 171! is past the float range.
+        weights = inequalities._factorials(171)
+        assert weights.tolist() == [float(math.factorial(j)) for j in range(171)]
+        assert not weights.flags.writeable
+        assert inequalities._scaled(np.array([2.0, 3.0, 5.0])).tolist() == [5.0, 3.0, 4.0]
+        with pytest.raises(OverflowError, match="171!"):
+            inequalities._scaled(np.ones(172))
+
     def test_two_frequency_determinant_formula(self):
         ev = build_evaluator([-1, -2])
         for x in (0.0, 0.5, 1.0, 2.0, 3.0):
