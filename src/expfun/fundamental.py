@@ -31,9 +31,9 @@ before the squarings:
 * ``derivative_grid`` takes a uniform grid ``linspace(lo, hi, count)`` and
   writes every point as the product of four exponentials, an anchor and
   three offsets, so about 4 count**(1/4) exponentials serve the whole grid
-  (29 for 4096 points on one side of 0), and three BLAS matrix products per
-  side of 0 apply them.  The CLI ``eval``, ``hankel`` and ``turan`` tables
-  use it.
+  (32 for 4096 points on one side of 0, three of them the identity at
+  offset 0), and three BLAS matrix products per side of 0 apply them.
+  The CLI ``eval``, ``hankel`` and ``turan`` tables use it.
 
 Both read the orders off the last column c of each exponential as
 (e_0 A**j / P) . c.  The evaluator stores the rows e_0 A**j / P of the
@@ -60,7 +60,9 @@ cross-validation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -303,17 +305,17 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     sign), and at every x when A = 0 (the single frequency 0, nu = 0), the
     coefficients are 1, 0, 0, ..., so the matrix is the identity exactly.
 
-    Memory grows with the size of xs, which callers bound.  Where the depths
-    differ, that is for more than one abscissa with some depth above 0, the
-    abscissae are ordered by depth, so that each squaring acts on the tail
-    of the stack that still needs it, and one scatter restores the order of
-    xs; otherwise every matrix takes the same squarings in place.  The
-    starts of all the tails come from one ``searchsorted``.  Matrices have
-    the dtype of A: complex only for a vector that is not conjugate-closed.
+    Memory grows with the size of xs, which callers bound.  Each squaring
+    acts on the tail of the stack that still needs it; one ``searchsorted``
+    finds the tails' starts, unless the depths are all equal.  Only where
+    the depths decrease somewhere, as among a grid's factors, are the
+    abscissae sorted by depth and the order of xs restored by one scatter;
+    probe pairs, single abscissae and ascending quadrature nodes need
+    neither.  Matrices have the dtype of A, complex only when A is.
     """
     depth = _squarings(ev, xs)
     order = None
-    if len(xs) > 1 and depth.any():
+    if len(xs) > 1 and (depth[1:] < depth[:-1]).any():
         order = np.argsort(depth, kind="stable")
         depth, xs = depth[order], xs[order]
     t = xs / 2.0 ** depth
@@ -323,7 +325,7 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     np.multiply.accumulate((t * ev.norm)[:, None] / np.arange(1, terms), axis=1,
                            out=coeffs[:, 1:])
     r = (coeffs[:, None, :] @ ev.powers).reshape(len(xs), dim, dim)
-    if order is None:
+    if depth[0] == depth[-1]:
         starts = [0] * int(depth[-1])
     else:
         starts = np.searchsorted(depth, np.arange(depth[-1]), side="right").tolist()
@@ -400,6 +402,13 @@ def _orders(col: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _finite(np.einsum("pi,ji->pj", col, rows))
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, numpy integers included; a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
     if not ev.realify:
         raise ValueError(
@@ -448,30 +457,13 @@ def _table(ev: FundamentalEvaluator, xs, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _side_by_side(factors: np.ndarray) -> np.ndarray:
-    """[I | F_1^T | F_2^T | ...] for stacked (n+1) x (n+1) factors F_k.
-
-    A row vector c^T times it is [c^T, (F_1 c)^T, (F_2 c)^T, ...]: one BLAS
-    product applies every factor, and the identity, to many columns at once.
-    The factors, identity first, fill one preallocated stack, and the result
-    is its transposed view, not a C-contiguous copy: the layout of an
-    operand decides how BLAS rounds a product.
-    """
-    count, dim, _ = factors.shape
-    stack = np.empty((count + 1, dim, dim), dtype=factors.dtype)
-    stack[0] = 0.0
-    stack[0].reshape(-1)[::dim + 1] = 1.0
-    stack[1:] = factors
-    return stack.transpose(2, 0, 1).reshape(dim, -1)
-
-
 def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
                     max_order: int) -> np.ndarray:
     """Derivatives 0..max_order on the uniform grid ``np.linspace(lo, hi, count)``.
 
     Returns, up to rounding, what ``derivative_table(ev, np.linspace(lo, hi,
     count), max_order)`` returns, from about 4 count**(1/4) matrix
-    exponentials instead of count: 29 for 4096 points on one side of 0.  A
+    exponentials instead of count: 32 for 4096 points on one side of 0.  A
     grid with lo == hi or count == 1 is one abscissa, evaluated once and
     repeated.  Otherwise the grid is split at 0 and each side is cut, outward
     from 0, into blocks of s**3 points, s = ceil(side count ** (1/4)).  With
@@ -479,21 +471,22 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     block (digits 0 <= q2, q1, r < s) is the block's anchor (the block point
     nearest 0, a ``linspace`` abscissa) plus (q2*s**2 + q1*s + r)*h, so that
     expm(x*A) = expm(r*h*A) @ expm(q1*s*h*A) @ expm(q2*s**2*h*A) @
-    expm(anchor*A).  Only the anchors and the s - 1 offsets q*s**k*h of each
-    level k = 0, 1, 2 go through the Taylor kernel.  The rows e_0 A**j / P are
-    folded into the fine factors (level 0) first, giving the small stack
-    e_0 A**j expm(r*h*A) / P.  Then one matrix product per level gives every
-    point's orders: the level-2 factors (identity first) applied to all
-    anchor last columns, then the level-1 factors to those, give the columns
-    at the points anchor + (q2*s + q1)*s*h, which are true columns at grid
-    points, and the folded rows applied to those give the orders at every
-    point.  Each product is one BLAS call on the side's stacked factors, a
-    chain has at most four factors, and nothing drifts along the grid.
-    Working memory is the count x (max_order+1) values and the columns at
-    one point in s, never count matrices, the count x (n+1) columns nor the
-    s**3 offset matrices.  Unlike ``derivative_table``, a row may depend on
-    its companions at rounding level, since a BLAS product may round a batch
-    differently from a single column.
+    expm(anchor*A).  Only the anchors and the s offsets q*s**k*h, 0 <= q < s,
+    of each level k = 0, 1, 2 go through the Taylor kernel, which returns the
+    identity exactly at offset 0.  The rows e_0 A**j / P are folded into the
+    fine factors (level 0) first, giving the small stack e_0 A**j
+    expm(r*h*A) / P.  Then one matrix product per level gives every point's
+    orders: the level-2 factors applied to all anchor last columns, then
+    the level-1 factors to those, give the columns at the points anchor +
+    (q2*s + q1)*s*h, which are true columns at grid points, and the folded
+    rows applied to those give the orders at every point.  Each product is
+    one BLAS call on the side's stacked factors, a chain has at most four
+    factors, and nothing drifts along the grid.  Working memory is the count x
+    (max_order+1) values and the columns at one point in s, never count
+    matrices, the count x (n+1) columns nor the s**3 offset matrices.  Unlike
+    ``derivative_table``, a row may depend on its companions at rounding
+    level, since a BLAS product may round a batch differently from a single
+    column.
 
     Error structure: no factor has a larger |abscissa|, hence no more
     squarings, than its point.  For real frequencies expm(t*A) has entries of
@@ -508,9 +501,10 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     q2*s**2*h, each offset rounded once, which agrees with ``linspace``'s
     abscissa to a few ulps of max(|lo|, |hi|); it is exact at the anchors.
 
-    Raises ValueError for non-finite bounds, lo > hi, count < 1, a negative
-    order, a vector that is not conjugate-closed, and abscissae beyond the
-    squaring guard, and OverflowError for a value that is not finite.
+    Raises ValueError for non-finite bounds, lo > hi, a count that is not an
+    integer or is below 1, a negative order, a vector that is not
+    conjugate-closed, and abscissae beyond the squaring guard, and
+    OverflowError for a value that is not finite.
     """
     return _grid(ev, lo, hi, count, _order_rows(ev, max_order))[1]
 
@@ -524,7 +518,9 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     reads the abscissae without forming the grid again.  ``verify_sign``
     passes only the orders it reads, the same rows that it passes to
     ``_table`` to refine a sign change.  The bounds are checked before any
-    abscissa is formed.  Raises as ``derivative_grid`` does, except for the
+    abscissa is formed.  Every factor of both sides comes from one kernel
+    call, and the values of both sides from one overflow check on the
+    finished table.  Raises as ``derivative_grid`` does, except for the
     order, which ``_order_rows`` checks.
     """
     _require_conjugate_closed(ev)
@@ -534,7 +530,7 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
         raise ValueError(f"need lo <= hi, got [{lo!r}, {hi!r}]")
     if not math.isfinite(float(hi) - float(lo)):
         raise ValueError(f"grid width hi - lo overflows the float range, got [{lo!r}, {hi!r}]")
-    if count < 1:
+    if _integer(count, "count") < 1:
         raise ValueError(f"need at least one grid point, got count={count!r}")
     xs = np.linspace(lo, hi, count)
     if lo == hi or count == 1:
@@ -546,44 +542,45 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     step = (hi - lo) / (count - 1)
     split = int(np.searchsorted(xs, 0.0))
     # Each side: the slice of grid indices outward from 0, its length, and the abscissae
-    # of its anchors and of its offsets q*s**k*h, 0 < q < s, at levels k = 2, 1, 0.  An
-    # offset past the side's last point is left out (only a side with a single block
-    # has one), so no factor lies farther from 0 than the points it serves.
-    sides = []
+    # of its anchors and, from one product, of its offsets q*s**k*h, 0 <= q < s, at levels
+    # k = 2, 1, 0, q = 0 giving I exactly.  An offset past the side's last point is left out
+    # (only a one-block side has one), so no factor lies farther from 0 than its points.
+    sides, ts, sizes = [], [], []
     for side, length, h in ((slice(split - 1, None, -1), split, -step),
                             (slice(split, None), count - split, step)):
         if length:
             s = round(length ** (1 / 4))
             s += s ** 4 < length
-            sides.append((side, length, [xs[side][::s ** 3]] + [
-                h * np.arange(s ** k, min(s ** (k + 1), length), s ** k) for k in (2, 1, 0)]))
-    ts = [t for *_, factors in sides for t in factors]
+            anchors = xs[side][::s ** 3]
+            levels = [range(0, min(s ** (k + 1), length), s ** k) for k in (2, 1, 0)]
+            ts += [anchors, h * np.array([*levels[0], *levels[1], *levels[2]], float)]
+            sizes += [len(anchors), *map(len, levels)]
+            sides.append((side, length))
     mats = _exponentials(ev, np.concatenate(ts))
-    parts, start = [], 0
-    for t in ts:
-        parts.append(mats[start:start + len(t)])
-        start += len(t)
+    parts = [mats[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
     dim = len(ev.diagonal)
     out = np.empty((count, len(rows)))
-    for i, (side, length, _) in enumerate(sides):
-        anchors, *offsets, fine = parts[4 * i:4 * i + 4]
-        # Entry (i, r*K + j) of the folded fine factors is (e_0 A**j F_r)[i] / P, F_r the fine
-        # factor r (identity first) and K the number of rows.
-        folded = (_side_by_side(fine).reshape(dim, -1, dim) @ rows.T).reshape(dim, -1)
-        # Columns as rows, so that every reshape keeps memory order: a column at row c
-        # times offset factor q of the next level is row c*s + q, so after the two offset
-        # levels anchor b's column under digits q2, q1 is row (b*s + q2)*s + q1, and its
-        # values under fine factor r are row b*s**3 + q2*s**2 + q1*s + r, the point's
-        # index on the side.  The last block runs up to s**3 - 1 points past the side's
-        # end, whose values may overflow; they are dropped after the last product, and a
-        # kept value that overflowed is refused.
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (side, length) in enumerate(sides):
+            # A level's factors side by side, [I | F_1^T | ...], are the transposed view of
+            # their stack (the layout of an operand decides how BLAS rounds a product): c^T
+            # times it is [c^T, (F_1 c)^T, ...], so one product applies a level to many columns.
+            anchors, *offsets, fine = parts[4 * i:4 * i + 4]
+            # Entry (i, r*K + j) of the folded fine factors is (e_0 A**j F_r)[i] / P, F_r the
+            # fine factor r and K the number of rows.
+            folded = (fine.transpose(2, 0, 1) @ rows.T).reshape(dim, -1)
+            # Columns as rows, so that every reshape keeps memory order: a column at row c
+            # times offset factor q of the next level is row c*s + q, so after the two
+            # offset levels anchor b's column under digits q2, q1 is row (b*s + q2)*s + q1,
+            # and its values under fine factor r are row b*s**3 + q2*s**2 + q1*s + r, the
+            # point's index on the side.  The last block runs up to s**3 - 1 points past the
+            # side's end, whose values may overflow; they are dropped after the last
+            # product, and a kept value that overflowed is refused.
             cols = anchors[:, :, -1]
             for level in offsets:
-                cols = (cols @ _side_by_side(level)).reshape(-1, dim)
-            values = (cols @ folded).reshape(-1, len(rows))[:length]
-        out[side] = _finite(values)
-    return xs, out
+                cols = (cols @ level.transpose(2, 0, 1).reshape(dim, -1)).reshape(-1, dim)
+            out[side] = (cols @ folded).reshape(-1, len(rows))[:length]
+    return xs, _finite(out)
 
 
 def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> complex:

@@ -34,6 +34,7 @@ from .frequencies import as_frequency_vector
 from .fundamental import (
     FundamentalEvaluator,
     _grid,
+    _integer,
     _order_rows,
     _table,
     build_evaluator,
@@ -243,7 +244,8 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     the same three orders at a pair of points (about 1 call per sign change
     on the benchmark's scans).  With ``sign=-1`` the check certifies
     nonpositivity.  A "nonnegative" status is a grid certificate, not a
-    proof.  ``tol`` must be finite and nonnegative; ValueError otherwise.
+    proof.  ValueError unless ``grid`` and ``m`` are integers (not bools),
+    ``sign`` the int 1 or -1, and ``tol`` finite and nonnegative.
 
     The boundary's bracket holds the sign change of the computed Phi^(m),
     which can sit outside it where the slope is small against the value's
@@ -253,16 +255,17 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if grid < 64:
+    if _integer(grid, "grid") < 64:
         raise ValueError("need at least 64 grid samples")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if m < 0:
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign must be the int 1 or -1, got {sign!r}")
+    if _integer(m, "m") < 0:
         raise ValueError("derivative order must be nonnegative")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
-    rows = sign * _order_rows(ev, m + 2)[m:]
+    rows = _order_rows(ev, m + 2)[m:]
+    rows = rows if sign == 1 else -rows
     xs, samples = _grid(ev, lo, hi, grid, rows)
     vals = samples[:, 0]
     bad = np.flatnonzero(vals < -tol)
@@ -280,8 +283,8 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         if not after.size:
             return SignReport("violated", witness, None, grid, sign)
         j = i + int(after[0])
-    probe = lambda ts: _table(ev, ts, rows)
-    boundary = _refine_sign_change(probe, float(xs[j - 1]), float(xs[j]), samples[j - 1], samples[j])
+    boundary = _refine_sign_change(lambda ts: _table(ev, ts, rows).tolist(), float(xs[j - 1]),
+                                   float(xs[j]), samples[j - 1].tolist(), samples[j].tolist())
     return SignReport("violated", witness, boundary, grid, sign)
 
 

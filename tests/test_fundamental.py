@@ -448,6 +448,27 @@ class TestExponentialsOracle:
             ref = np.array(expm_via_mpmath(realization(ev), x)).real
             assert np.all(np.abs(mat - ref) <= 1e-12 * np.abs(ref).max(axis=0)), x
 
+    @pytest.mark.parametrize("name", ["real", "pairs"])
+    def test_batches_in_depth_order_are_not_sorted(self, name):
+        # Depths that never decrease take the path without a sort: a batch rising from
+        # x = 0 of either sign to depth 3, and a refinement's probe pair at depth 4.
+        # Squaring every matrix to the batch's largest depth would pass the pair and
+        # fail the batch.
+        entries = EXPM_VECTORS[name]
+        ev = build_evaluator(entries)
+        unit = fundamental._THETA / ev.norm
+        rising = np.array([0.0, -0.0, 0.5 * unit, -1.5 * unit, 3.0 * unit, -6.0 * unit])
+        pair = 12.0 * unit + np.array([-2.5e-11, 2.5e-11])
+        for xs, depths in ((rising, [0, 0, 0, 1, 2, 3]), (pair, [4, 4])):
+            assert fundamental._squarings(ev, xs).tolist() == depths
+            mats = fundamental._exponentials(ev, xs)
+            for x, mat in zip(xs, mats):
+                assert np.array_equal(fundamental._exponentials(ev, np.array([x]))[0], mat)
+                ref = np.array(expm_via_mpmath(realization(ev), x)).real
+                assert np.all(np.abs(mat - ref) <= 1e-12 * np.abs(ref).max(axis=0)), x
+        # At x = 0 of either sign, within the batch: the identity exactly.
+        assert np.array_equal(fundamental._exponentials(ev, rising)[:2], [np.eye(len(entries))] * 2)
+
     def test_theta_is_the_degree_18_bound(self):
         # theta_18: the largest theta with sum_k |c_k| theta**(k-1) <= 2**-53, where
         # log(exp(-x) T_18(x)) = sum_k c_k x**k.  exp(-x) T_m(x) = 1 + sum_{k>m} g_k x**k
@@ -777,6 +798,10 @@ class TestDerivativeGrid:
             derivative_grid(ev, 1.0, 0.0, 8, 0)
         with pytest.raises(ValueError, match="at least one grid point"):
             derivative_grid(ev, 0.0, 1.0, 0, 0)
+        for count in (65.0, True, "65", None):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                derivative_grid(ev, 0.0, 1.0, count, 0)
+        assert derivative_grid(ev, 0.0, 1.0, np.int64(65), 0).shape == (65, 1)
         with pytest.raises(ValueError, match="nonnegative"):
             derivative_grid(ev, 0.0, 1.0, 8, -1)
         with pytest.raises(ValueError, match="not conjugate-closed; use eval_derivative_complex"):
@@ -806,8 +831,8 @@ class TestDerivativeGrid:
 
     def test_exponential_count(self, monkeypatch):
         # Per side of 0, s = ceil(side length ** (1/4)): an anchor every s**3 points
-        # and s - 1 offsets at each of three levels.  4096 points on one side take
-        # 8 + 3 * 7 exponentials.
+        # and s offsets at each of three levels, the first the identity at offset 0.
+        # 4096 points on one side take 8 + 3 * 8 exponentials.
         seen = []
         exponentials = fundamental._exponentials
 
@@ -817,9 +842,9 @@ class TestDerivativeGrid:
 
         monkeypatch.setattr(fundamental, "_exponentials", counting)
         ev = build_evaluator([1.2, -1, 2.3, -2])
-        for lo, hi, count, expected in ((0.0, 5.0, 4096, 29), (-5.0, -0.5, 4096, 29),
-                                        (-0.16, 0.63, 4096, 47), (-1.0, 1.0, 4096, 48),
-                                        (0.0, 3.0, 512, 17)):
+        for lo, hi, count, expected in ((0.0, 5.0, 4096, 32), (-5.0, -0.5, 4096, 32),
+                                        (-0.16, 0.63, 4096, 53), (-1.0, 1.0, 4096, 54),
+                                        (0.0, 3.0, 512, 20)):
             seen.clear()
             derivative_grid(ev, lo, hi, count, 4)
             assert sum(seen) == expected, (lo, hi, count, seen)

@@ -113,6 +113,18 @@ class TestVerifySign:
             verify_sign(ev, 2, 0.0, 1.0, grid=32)
         with pytest.raises(ValueError):
             verify_sign(ev, 2, 0.0, 1.0, sign=2)
+        # Non-integers and bools are refused as the CLI refuses them; numpy integers pass.
+        for bad in (100.0, True):
+            with pytest.raises(ValueError, match="grid must be an integer"):
+                verify_sign(ev, 2, 0.0, 3.0, grid=bad)
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                verify_sign(ev, bad, 0.0, 3.0)
+        for bad in (True, 1.0, -1.0, np.int64(1)):
+            with pytest.raises(ValueError, match="sign must be the int 1 or -1"):
+                verify_sign(ev, 2, 0.0, 3.0, sign=bad)
+        rep = verify_sign(ev, np.int64(2), 0.0, 3.0, grid=np.int32(100))
+        assert rep == verify_sign(ev, 2, 0.0, 3.0, grid=100) and rep.status == "violated"
         with pytest.raises(ValueError, match="nonnegative"):
             verify_sign(ev, -1, 0.0, 1.0)
         # Refused before any abscissa is formed, so numpy does not warn on inf * 0.
