@@ -423,11 +423,11 @@ def derivative_table(ev: FundamentalEvaluator, xs, max_order: int) -> np.ndarray
     Phi(xs[i]), Phi'(xs[i]), ..., Phi^(max_order)(xs[i]); a row does not
     depend on the other abscissae of the call.  Requires a conjugate-closed
     frequency vector, whose real matrix gives real values with no
-    projection, and finite abscissae; a value that is not finite raises
-    OverflowError.
+    projection, finite abscissae and an integer order (not a bool), else
+    ValueError; a value that is not finite raises OverflowError.
     """
     _require_conjugate_closed(ev)
-    return _table(ev, xs, _order_rows(ev, max_order))
+    return _table(ev, xs, _order_rows(ev, _integer(max_order, "max_order")))
 
 
 def _table(ev: FundamentalEvaluator, xs, rows: np.ndarray) -> np.ndarray:
@@ -502,11 +502,11 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     abscissa to a few ulps of max(|lo|, |hi|); it is exact at the anchors.
 
     Raises ValueError for non-finite bounds, lo > hi, a count that is not an
-    integer or is below 1, a negative order, a vector that is not
-    conjugate-closed, and abscissae beyond the squaring guard, and
-    OverflowError for a value that is not finite.
+    integer or is below 1, an order that is not an integer or is negative, a
+    vector that is not conjugate-closed, and abscissae beyond the squaring
+    guard, and OverflowError for a value that is not finite.
     """
-    return _grid(ev, lo, hi, count, _order_rows(ev, max_order))[1]
+    return _grid(ev, lo, hi, count, _order_rows(ev, _integer(max_order, "max_order")))[1]
 
 
 def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
@@ -588,17 +588,21 @@ def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> compl
 
     Serves every frequency vector, on the evaluator's matrix: complex
     arithmetic for one that is not conjugate-closed, real for a closed one,
-    whose value is then exactly real, that of ``eval_derivative``.  A value
-    that is not finite raises OverflowError, as in ``eval_derivative``.
+    whose value is then exactly real, that of ``eval_derivative``.  An order
+    that is not an integer (a bool included) raises ValueError, and a value
+    that is not finite OverflowError, as in ``eval_derivative``.
     """
+    m = _integer(m, "m")
     return complex(_table(ev, [x], _order_rows(ev, m))[0, m])
 
 
 def eval_derivative(ev: FundamentalEvaluator, m: int, x: float) -> float:
     """m-th derivative of the fundamental solution at x: one row of ``derivative_table``.
 
-    Requires a conjugate-closed frequency vector.
+    Requires a conjugate-closed frequency vector and an integer order m (not
+    a bool), else ValueError.
     """
+    m = _integer(m, "m")
     return float(derivative_table(ev, [x], m)[0, m])
 
 
@@ -606,9 +610,10 @@ def basis(ev: FundamentalEvaluator, k: int, x: float) -> float:
     """Basis function b_k(x) = k! * Phi^(n-k)(x) for 0 <= k <= n.
 
     b_k has a k-fold zero at the origin and reduces to x**k when every
-    frequency vanishes.
+    frequency vanishes.  ValueError unless k is an integer (not a bool) in
+    range.
     """
-    if not 0 <= k <= ev.n:
+    if not 0 <= _integer(k, "k") <= ev.n:
         raise ValueError(f"basis index {k} out of range [0, {ev.n}]")
     return math.factorial(k) * eval_derivative(ev, ev.n - k, x)
 

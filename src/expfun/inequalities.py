@@ -7,7 +7,8 @@ definite, and the squared-derivative ratio is pinched between 1 and
 n/(n-1).  This module provides the certificate (a sampling check, not a
 proof), the integral identity behind the dominance, and the monotonicity
 criteria that make the sign hypothesis easy to establish for many frequency
-vectors.
+vectors; for vectors that pair off into nonnegative sums it holds at every
+order on [0, oo) (``_nonnegative_taylor``).
 
 Sign changes, of a sampled derivative here and of a Hankel determinant in
 the CLI, are located by one bracketed refinement, ``_refine_sign_change``.
@@ -130,10 +131,12 @@ def _step_target(x0: float, row0, x: float, row) -> float:
     Rows holding (f, f', f'') give a Newton step on f/f' from x, which stays
     quadratic at multiple zeros; rows holding f alone give the secant step
     through (x0, f(x0)) and (x, f(x)).  A probe at an exact zero is its own
-    target.
+    target, unless the probe before it was an exact zero too: then f vanishes
+    on a stretch, as where it underflows, the target would creep along it by
+    a margin per probe, and NaN makes the refinement bisect instead.
     """
     if not row[0]:
-        return x
+        return x if row0[0] else math.nan
     if len(row) > 2:
         f, d1, d2 = float(row[0]), float(row[1]), float(row[2])
         den = d1 * d1 - f * d2
@@ -493,25 +496,27 @@ class MonotonicityCertificate:
       removed in sequence; derivatives of order 1..2*rounds are positive.
     - SOME_NONNEG: a single nonnegative frequency (``nonnegative_index``)
       forces a positive first derivative.
-    - NONE: every frequency is negative; the first derivative provably
-      vanishes somewhere on (0, oo), located at ``derivative_zero`` when a
-      ``verify_sign`` scan of Phi' over [0, 1e4 / max(1, max|l|)] brackets
-      it, and None when the zero lies beyond that range.  The zero is
-      unique: with n+1 real frequencies counted with multiplicity, Phi' is an
-      exponential polynomial with at most n real zeros (Polya-Szego, Part V)
-      and n-1 of them sit at 0, so Phi' changes sign once on (0, oo) and the
-      scan's first negative sample lies just past that zero.
+    - NONE: every frequency is negative; for n >= 1 the first derivative
+      provably vanishes somewhere on (0, oo), at most n / |l_max| from 0
+      with l_max the largest frequency (equality for n+1 equal ones).  It is
+      located at ``derivative_zero`` when a ``verify_sign`` scan of Phi' over
+      [0, min(2n / |l_max|, 1e4 / max(1, max|l|))] brackets it, and None when
+      the zero lies beyond that range or n = 0 (Phi' = l e^(lx) has none).
+      The zero is unique: with n+1 real frequencies counted with
+      multiplicity, Phi' is an exponential polynomial with at most n real
+      zeros (Polya-Szego, Part V) and n-1 of them sit at 0, so Phi' changes
+      sign once on (0, oo) and the scan's first negative sample lies just
+      past that zero.
 
     As with ``SignReport.boundary``, the 1e-10 bracket around
     ``derivative_zero`` holds a sign change of the computed Phi', which can
-    lie farther from the true zero where Phi' cancels.  For [-93.03504499963121,
-    -0.04451643050514944, -0.0015391044333304571] the zero is
-    78.29988519656305 (40-digit mpmath), and ``derivative_zero`` is
-    78.29988519664343, 8.0e-11 away; on 25 points spaced 5e-11 across the
-    zero the computed Phi' reads ``+++++++0+-++++00+-0-0----``, so a bracket
-    around any of its flips, up to about 2.5e-10 from the zero, is an
-    equally valid result: Phi' = l_0 Phi + (...) cancels a term about 93
-    times the value, while its slope is set by the frequency 0.0015.
+    lie farther from the true zero where Phi' cancels: Phi' = l_0 Phi +
+    (...) cancels a term about |l_0| times the value.  For
+    [-93.03504499963121, -0.04451643050514944, -0.0015391044333304571],
+    scanned on [0, 1e4 / 93.04] since 2n / |l_max| = 2599 is larger, the
+    zero is 78.29988519656305 (40-digit mpmath), and ``derivative_zero`` is
+    78.29988519657854, 1.5e-11 away, while its slope is set by the frequency
+    0.0015.
     """
 
     kind: CertificateKind
@@ -558,9 +563,46 @@ def _greedy_pair_chain(values: Sequence[float]) -> tuple:
     return tuple(pairs)
 
 
+def _nonnegative_taylor(entries) -> bool:
+    """Whether the frequencies prove that Phi has nonnegative Taylor coefficients at 0.
+
+    True when the entries are real and split into pairs (p, q) with p + q >= 0
+    plus single entries >= 0; then every Phi^(m) is >= 0 on [0, oo).  Phi is
+    the convolution on [0, x] of the factors' fundamental solutions: a pair
+    gives (e^(px) - e^(qx)) / (p - q), whose coefficients (p**(k+1) -
+    q**(k+1)) / (p - q) are >= 0 as p >= |q|, a single entry v >= 0 gives
+    e^(vx), and convolution keeps coefficients nonnegative.  Such a split
+    exists exactly when ``_greedy_pair_chain`` pairs every negative entry: it
+    offers the most negative entry the largest one, which covers it if any
+    entry does.  Any non-real entry gives False.
+    """
+    if any(v.imag != 0.0 for v in entries):
+        return False
+    values = [v.real for v in entries]
+    paired = {i for pair in _greedy_pair_chain(values) for i in pair}
+    return all(v >= 0.0 or i in paired for i, v in enumerate(values))
+
+
 def _locate_derivative_zero(freq) -> Optional[float]:
+    """The sign change of Phi' on (0, oo) for all-negative real frequencies, or None.
+
+    The zero z satisfies z <= n / |l_max|, with equality for n + 1 equal
+    nodes.  With l_max the largest node, Phi = e^(l_max x) int_0^x psi, psi
+    the fundamental solution of the other n nodes shifted by -l_max, so psi
+    = x**(n-1) / (n-1)! M(x) where M, the simplex mean of exp(x sum_j u_j
+    (l_j - l_max)) (Hermite-Genocchi), decreases; so int_0^x psi >= M(x) x**n
+    / n! and Phi' <= e^(l_max x) (int_0^x psi) (n/x - |l_max|).  The scan
+    covers [0, 2n / |l_max|], which holds even a confluent zero strictly
+    inside, capped at 1e4 / max(1, max|l|), past which a zero gives None.
+    A single frequency (n = 0) has Phi' = l e^(lx) < 0 and no zero.
+    """
+    n = freq.n
+    if n == 0:
+        return None
     scale = max(1.0, max(abs(v) for v in freq.entries))
-    return verify_sign(build_evaluator(freq), 1, 0.0, 1e4 / scale, tol=0.0).boundary
+    top = max(v.real for v in freq.entries)
+    hi = min(1e4 / scale, 2 * n / -top)
+    return verify_sign(build_evaluator(freq), 1, 0.0, hi, tol=0.0).boundary
 
 
 def monotonicity_certificate(freq) -> MonotonicityCertificate:

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fundamental import FundamentalEvaluator, derivative_table
-from .inequalities import _factorials, _hankel, as_polynomial, cholesky_factor, verify_sign
+from .inequalities import (_factorials, _hankel, _nonnegative_taylor, as_polynomial,
+                          cholesky_factor, verify_sign)
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -83,11 +84,12 @@ class Measure:
 class MomentSequence:
     """Transformed sequence s_0..s_n with its interval geometry.
 
-    ``hypothesis_certified`` records whether the sampled sign check of the
-    (n+1)-th derivative passed on [0, support_length] when the sequence was
-    produced.  Construction refuses non-finite values, a non-finite origin and
-    a support length that is not finite and nonnegative, since no interval
-    condition can be checked on such geometry.
+    ``hypothesis_certified`` records whether the sign hypothesis, the
+    (n+1)-th derivative >= 0 on [0, support_length], was proved, or sampled
+    on 512 points, when the sequence was produced (``transform``).
+    Construction refuses non-finite values, a non-finite origin and a support
+    length that is not finite and nonnegative, since no interval condition
+    can be checked on such geometry.
     """
 
     values: tuple
@@ -132,8 +134,11 @@ def transform(ev: FundamentalEvaluator, mu: Measure) -> MomentSequence:
     s_k = integral of b_k(x - a) d mu(x) over the support [a, b].  Atomic
     measures are summed exactly; densities use Gauss-Legendre quadrature with
     the order doubled from 64 until two refinements agree to 1e-11.  The sign
-    hypothesis is checked on [0, b - a] by sampling 512 points; a failure
-    only warns and is recorded on the returned sequence.
+    hypothesis on [0, b - a] is proved, or sampled on 512 points: it is
+    proved when the real frequencies split into pairs with nonnegative sums
+    and single nonnegative entries, which make every Taylor coefficient of
+    Phi nonnegative, and sampled otherwise.  A sampled failure only warns
+    and is recorded on the returned sequence.
     """
     if not ev.realify:
         raise ValueError("moment transform requires a real-valued fundamental solution")
@@ -141,7 +146,7 @@ def transform(ev: FundamentalEvaluator, mu: Measure) -> MomentSequence:
     length = b - a
 
     certified = True
-    if length > 0.0:
+    if length > 0.0 and not _nonnegative_taylor(ev.freq.entries):
         report = verify_sign(ev, ev.n + 1, 0.0, length, grid=512)
         certified = report.status == "nonnegative"
         if not certified:
@@ -166,7 +171,7 @@ def _density_transform(ev: FundamentalEvaluator, mu: Measure) -> np.ndarray:
         return np.zeros(ev.n + 1)
 
     def rule_sum(xs, ws):
-        dens = np.array([mu.density(x) for x in xs])
+        dens = np.array([mu.density(x) for x in xs.tolist()])
         if np.any(dens < -1e-12 * (1.0 + np.abs(dens).max())):
             raise ValueError("density is negative at a quadrature node")
         keep = dens != 0.0

@@ -256,6 +256,38 @@ class TestGuards:
         with pytest.raises(ValueError):
             eval_derivative(ev, -1, 0.0)
 
+    # A bool order used to give a table of two columns, and a float one slicing's TypeError.
+    @pytest.mark.parametrize("order", [True, 0.5, 1.0, "1"])
+    def test_derivative_table_refuses_non_integer_order(self, order):
+        with pytest.raises(ValueError, match="max_order must be an integer"):
+            derivative_table(build_evaluator([-1, -2]), [0.5], order)
+
+    @pytest.mark.parametrize("order", [True, 0.5, 1.0])
+    def test_derivative_grid_refuses_non_integer_order(self, order):
+        with pytest.raises(ValueError, match="max_order must be an integer"):
+            derivative_grid(build_evaluator([-1, -2]), 0.0, 1.0, 5, order)
+
+    @pytest.mark.parametrize("order", [True, 0.5, 1.0])
+    def test_eval_derivative_refuses_non_integer_order(self, order):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            eval_derivative(build_evaluator([-1, -2]), order, 0.5)
+
+    @pytest.mark.parametrize("order", [True, 0.5, 1.0])
+    def test_eval_derivative_complex_refuses_non_integer_order(self, order):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            eval_derivative_complex(build_evaluator([1j, 0]), order, 0.5)
+
+    @pytest.mark.parametrize("index", [True, 0.5, 1.0])
+    def test_basis_refuses_non_integer_index(self, index):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            basis(build_evaluator([-1, -2]), index, 0.5)
+
+    def test_numpy_integer_orders_accepted(self):
+        ev = build_evaluator([-1, -2])
+        assert eval_derivative(ev, np.int64(1), 0.5) == eval_derivative(ev, 1, 0.5)
+        assert basis(ev, np.int32(1), 0.5) == basis(ev, 1, 0.5)
+        assert derivative_table(ev, [0.5], np.int64(2)).shape == (1, 3)
+
     def test_non_finite_value_refused(self):
         # e^712 overflows the last column; the contraction's 0 * inf made the value NaN.
         ev = build_evaluator([0, 1000])

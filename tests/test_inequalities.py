@@ -289,12 +289,22 @@ class TestRefineSignChange:
         assert rep.status == "violated"
         assert abs(rep.boundary - math.pi * 1e6) <= 2 * math.ulp(math.pi * 1e6)
 
+    def test_exact_zeros_bisect(self, monkeypatch):
+        # Phi' = -e^(-x) underflows to -0.0 past x = 745, which the predicate f < 0 reads as
+        # a sign change; on that stretch of exact zeros each Newton target would be the last
+        # probe again, creeping XTOL/2 per call across the 2.4-wide cell, so it bisects.
+        calls = count_tables(monkeypatch)
+        rep = verify_sign(build_evaluator([-1.0]), 1, 0.0, 1e4, tol=0.0)
+        assert rep.status == "violated" and 745.0 < rep.boundary < 746.0
+        assert_scan_then_probes(calls, inequalities.DEFAULT_GRID, 45)
+
     def test_locator_evaluations(self, monkeypatch):
         calls = count_tables(monkeypatch)
         cert = monotonicity_certificate([-1, -2])
         assert cert.derivative_zero == pytest.approx(math.log(2), abs=XTOL)
-        # The grid scan brackets the zero; only paired probes refine it, four calls here.
-        assert_scan_then_probes(calls, inequalities.DEFAULT_GRID, 4)
+        # The grid scan of [0, 2] (2n / |l_max|) brackets the zero in a cell 4.9e-4 wide, where
+        # the Hermite target settles, so one pair of probes closes the bracket.
+        assert assert_scan_then_probes(calls, inequalities.DEFAULT_GRID, 1) == 1
 
 
 class TestIdentityResidual:
@@ -672,3 +682,80 @@ class TestMonotonicityCertificate:
     def test_complex_rejected(self):
         with pytest.raises(ValueError):
             monotonicity_certificate([1j, -1j])
+
+    def test_single_negative_frequency_has_no_zero(self):
+        # Phi' = -e^(-x) never vanishes.
+        cert = monotonicity_certificate([-1.0])
+        assert cert.kind is CertificateKind.NONE and cert.derivative_zero is None
+
+    def test_zero_within_bound_and_located(self):
+        # The zero of Phi' lies at most n / |l_max| from 0, with equality for equal
+        # frequencies; the locator scans [0, 2n / |l_max|] and must find it there.
+        rng = np.random.default_rng(25)
+        for i in range(10):
+            size = int(rng.integers(2, 13))
+            values = list(-rng.uniform(0.05, 1.0, size) * 10 ** rng.uniform(-1, 1))
+            if i % 3 == 0:
+                values = [values[0]] * size
+            elif i % 3 == 1:
+                values[1:3] = [values[1]] * 2
+            cert = monotonicity_certificate(values)
+            zero = zero_via_mpmath(values, 1, cert.derivative_zero, 30)
+            bound = (size - 1) / abs(max(values))
+            assert zero <= bound * (1 + 1e-12), (values, zero, bound)
+            assert abs(cert.derivative_zero - zero) <= 1e-10 * max(1.0, zero), (values, zero)
+
+    def test_zero_range_capped_as_before(self):
+        # 2n / |l_max| = 2599 passes 1e4 / max|l| = 107.5: the scan keeps [0, 107.5], so
+        # the documented sign change of the cancelling Phi' is the one found there.
+        values = [-93.03504499963121, -0.04451643050514944, -0.0015391044333304571]
+        cert = monotonicity_certificate(values)
+        scan = verify_sign(build_evaluator(values), 1, 0.0, 1e4 / 93.03504499963121, tol=0.0)
+        assert cert.derivative_zero == scan.boundary
+        assert abs(cert.derivative_zero - 78.29988519656305) <= 2.5e-10
+
+
+class TestNonnegativeTaylor:
+    @pytest.mark.parametrize("values, proved", [
+        ([0.5, 1, 2], True),
+        ([3, -1, 2, -2], True),
+        ([-1, 3, -2], False),
+        ([1 + 2j, 1 - 2j], False),
+        ([-1, 0, 1], True),
+        ([0.0], True),
+        ([-1e-300], False),
+        ([2, -2, -0.5], False),
+    ])
+    def test_pinned_vectors(self, values, proved):
+        assert inequalities._nonnegative_taylor([complex(v) for v in values]) is proved
+
+    def test_every_order_sampled_nonnegative(self):
+        # Pairs (p, q) with p + q >= 0 and single entries >= 0: every Taylor coefficient of
+        # Phi is >= 0, so every order up to n+3 is >= 0 on [0, oo).
+        rng = np.random.default_rng(19)
+        for i in range(40):
+            size = int(rng.integers(1, 11))
+            scale = 10 ** rng.uniform(-1, 1)
+            values = []
+            for _ in range(size // 2):
+                p = rng.uniform(0.1, 1.0) * scale
+                q = [-p, -p * rng.uniform(0.0, 1.0), p * rng.uniform(0.0, 1.0), 0.0][i % 4]
+                values += [p, q]
+            values += [rng.uniform(0.0, 1.0) * scale * (i % 3 > 0)] * (size % 2)
+            rng.shuffle(values)
+            assert inequalities._nonnegative_taylor([complex(v) for v in values]), values
+            n = len(values) - 1
+            x = 8.0 / max(1.0, max(abs(v) for v in values))
+            table = derivative_grid(build_evaluator(values), 0.0, x, 257, n + 3)
+            assert (table >= -1e-14 * np.abs(table).max(axis=0)).all(), values
+
+    def test_transform_skips_the_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sign hypothesis was scanned")
+
+        monkeypatch.setattr("expfun.moments.verify_sign", refuse)
+        for values in ([0.5, 1, 2], [3, -1, 2, -2], [-1, 0, 1]):
+            s = transform(build_evaluator(values), Measure.from_atoms([(1.0, 1.0)], (0.0, 1.5)))
+            assert s.hypothesis_certified
+        with pytest.raises(AssertionError, match="scanned"):
+            transform(build_evaluator([-1, 3, -2]), Measure.from_atoms([(1.0, 1.0)], (0.0, 1.5)))

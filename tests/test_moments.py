@@ -105,6 +105,17 @@ class TestTransform:
         s = transform(ev, Measure.from_density(lambda x: 1.0, (0.0, 1.0)))
         assert np.allclose(s.values, [1, 1 / 2, 1 / 3, 1 / 4, 1 / 5], atol=1e-10)
 
+    def test_density_receives_python_floats(self):
+        # The density's contract is Callable[[float], float]: nodes arrive as Python floats.
+        seen = set()
+
+        def density(x):
+            seen.add(type(x))
+            return math.exp(-x)
+
+        transform(build_evaluator([0, 1, -1]), Measure.from_density(density, (0.0, 1.0)))
+        assert seen == {float}
+
     def test_linearity_in_atoms(self):
         rng = np.random.default_rng(51)
         ev = build_evaluator(random_symmetric(rng, 4))
