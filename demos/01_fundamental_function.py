@@ -8,15 +8,7 @@ without any case analysis, so confluent limits just work.
 
 import math
 
-import numpy as np
-
-from expfun import (
-    build_evaluator,
-    basis,
-    eval_derivative,
-    eval_via_partial_fractions,
-    eval_via_taylor,
-)
+from expfun import build_evaluator, basis, eval_derivative
 
 # ---------------------------------------------------------------------------
 # Three textbook vectors with closed forms.
@@ -54,15 +46,3 @@ for j in range(5):
 
 print("\n== basis functions of (0, 0, 0) at x = 1.5 (should be 1, x, x**2)")
 print("  ", [round(basis(ev0, k, 1.5), 12) for k in range(3)])
-
-# ---------------------------------------------------------------------------
-# Independent oracles: partial fractions need distinct frequencies, the power
-# series is local.  All three routes agree.
-# ---------------------------------------------------------------------------
-
-print("\n== three evaluation routes for (0.3, -0.9, 1.4) at x = 0.15, m = 1")
-entries = [0.3, -0.9, 1.4]
-ev3 = build_evaluator(entries)
-print(f"  matrix exponential : {eval_derivative(ev3, 1, 0.15):+.15f}")
-print(f"  partial fractions  : {eval_via_partial_fractions(entries, 1, 0.15).real:+.15f}")
-print(f"  truncated series   : {eval_via_taylor(entries, 1, 0.15).real:+.15f}")

@@ -9,6 +9,7 @@ inequalities, the moment transform) is parameterised by this vector.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -118,6 +119,13 @@ def is_symmetric(freq, tol: float = DEFAULT_MATCH_TOL) -> bool:
     return _matching([-v for v in freq.entries], freq.entries, tol) is not None
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, numpy integers included; a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _homogeneous_prefix(entries: Sequence[complex], dmax: int) -> list:
     """Complete homogeneous symmetric polynomials h_0..h_dmax of the entries.
 
@@ -136,9 +144,11 @@ def taylor_coefficient(freq, k: int) -> complex:
     """Value of the k-th derivative of the fundamental solution at 0.
 
     Zero for k < n, one for k = n, and the complete homogeneous symmetric
-    polynomial of degree k - n in the frequencies for k > n.
+    polynomial of degree k - n in the frequencies for k > n.  ValueError
+    unless k is a nonnegative integer (not a bool).
     """
     freq = as_frequency_vector(freq)
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     n = freq.n

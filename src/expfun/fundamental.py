@@ -51,24 +51,19 @@ the other abscissae of the call.  The grid makes no such promise: it folds
 the rows into its fine factors, e_0 A**j expm(r*h*A), and applies those
 with a BLAS product to the columns the other factors give, so it never
 forms one column per point.
-
-Two independent evaluation routes, a partial-fraction sum (distinct
-frequencies only) and a truncated power series, are provided for
-cross-validation.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .frequencies import (FrequencyVector, as_frequency_vector, _conjugate_partners,
-                          _homogeneous_prefix)
+from .frequencies import FrequencyVector, as_frequency_vector, _conjugate_partners, _integer
 
 __all__ = [
     "FundamentalEvaluator",
@@ -78,8 +73,6 @@ __all__ = [
     "eval_derivative",
     "eval_derivative_complex",
     "basis",
-    "eval_via_partial_fractions",
-    "eval_via_taylor",
 ]
 
 #: Largest |t| ||A||_2 at which the Taylor kernel runs unscaled: theta_18, the
@@ -96,6 +89,16 @@ _TAYLOR_DEGREE = 18
 
 #: Refuse matrix exponentials whose scaling step would exceed 2**60.
 _MAX_SQUARINGS = 60
+
+#: Deepest scaling whose squarings cannot overflow, run without ``np.errstate``.  A
+#: depth of d leaves |x| nu <= theta * 2**d, and each squared matrix R, the Taylor
+#: polynomial of t*A or a square of it with 2|t| <= |x|, has ||R||_2 <= e^(|t| nu); so
+#: every partial sum of an entry of R @ R is at most ||R||_2**2 <= e^(|x| nu)
+#: (Cauchy-Schwarz), at most e^558.5 up to depth 9, below the float range's e^709.78.
+_QUIET_DEPTH = 9
+
+#: The context the squarings run in up to ``_QUIET_DEPTH``: none, shared by every call.
+_NO_ERRSTATE = nullcontext()
 
 #: Matrix entries per stacked array in one ``_table`` slice; this
 #: bounds the kernel's working memory whatever the number of abscissae.
@@ -311,7 +314,10 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     the depths decrease somewhere, as among a grid's factors, are the
     abscissae sorted by depth and the order of xs restored by one scatter;
     probe pairs, single abscissae and ascending quadrature nodes need
-    neither.  Matrices have the dtype of A, complex only when A is.
+    neither.  Matrices have the dtype of A, complex only when A is.  A
+    stack deeper than ``_QUIET_DEPTH`` is squared under ``np.errstate``, so
+    that an overflow leaves an inf or a NaN for ``_finite`` to refuse with
+    no warning, also under -W error.
     """
     depth = _squarings(ev, xs)
     order = None
@@ -329,9 +335,12 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
         starts = [0] * int(depth[-1])
     else:
         starts = np.searchsorted(depth, np.arange(depth[-1]), side="right").tolist()
-    for start in starts:
-        tail = r[start:]
-        tail[...] = tail @ tail
+    # One start per squaring: len(starts) is the deepest depth.
+    with (np.errstate(over="ignore", invalid="ignore") if len(starts) > _QUIET_DEPTH
+          else _NO_ERRSTATE):
+        for start in starts:
+            tail = r[start:]
+            tail[...] = tail @ tail
     if order is None:
         return r
     mats = np.empty_like(r)
@@ -402,13 +411,6 @@ def _orders(col: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _finite(np.einsum("pi,ji->pj", col, rows))
 
 
-def _integer(value, name: str) -> int:
-    """value as an int, numpy integers included; a bool or a non-integer raises ValueError."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
 def _require_conjugate_closed(ev: FundamentalEvaluator) -> None:
     if not ev.realify:
         raise ValueError(
@@ -439,9 +441,10 @@ def _table(ev: FundamentalEvaluator, xs, rows: np.ndarray) -> np.ndarray:
     entries, as every single-point query and refinement probe does, go to
     the kernel in one call; more are passed in such slices, written into one
     output array.  The values have the dtype of the evaluator's matrix:
-    complex only for a vector that is not conjugate-closed.  Raises ValueError for abscissae that do not form a
-    finite one-dimensional sequence or lie beyond the squaring guard, and
-    OverflowError for a value that is not finite.
+    complex only for a vector that is not conjugate-closed.  Raises
+    ValueError for abscissae that do not form a finite one-dimensional
+    sequence or lie beyond the squaring guard, and OverflowError for a value
+    that is not finite.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -616,79 +619,3 @@ def basis(ev: FundamentalEvaluator, k: int, x: float) -> float:
     if not 0 <= _integer(k, "k") <= ev.n:
         raise ValueError(f"basis index {k} out of range [0, {ev.n}]")
     return math.factorial(k) * eval_derivative(ev, ev.n - k, x)
-
-
-#: Partial fractions are rejected below this frequency separation.
-MIN_DISTINCT_GAP = 1e-6
-
-
-def eval_via_partial_fractions(freq, m: int, x: float) -> complex:
-    """Oracle route: sum of l_j**m * exp(l_j x) / prod_{k != j} (l_j - l_k).
-
-    Valid only for pairwise distinct frequencies; near-confluent vectors are
-    rejected as ill-conditioned.  The error is absolute, about eps times the
-    sum of the terms' magnitudes, so near the n-fold zero at the origin the
-    result can lose every digit without a refusal: for
-    [1, -1, 2, -2, 0.5, 3, -3] at x = 0.001 it returns 1.06e-17 where Phi is
-    1.39e-21.  Use ``eval_via_taylor`` near the origin.
-    """
-    freq = as_frequency_vector(freq)
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    ent = freq.entries
-    gap = min(
-        (abs(ent[i] - ent[j]) for i in range(len(ent)) for j in range(i + 1, len(ent))),
-        default=math.inf,
-    )
-    if gap <= MIN_DISTINCT_GAP:
-        raise ValueError(
-            f"frequencies too close (min gap {gap:.3e}); partial fractions are "
-            "ill-conditioned near confluent nodes"
-        )
-    total = 0j
-    for j, lj in enumerate(ent):
-        denom = 1.0 + 0j
-        for k, lk in enumerate(ent):
-            if k != j:
-                denom *= lj - lk
-        total += lj**m * np.exp(lj * x) / denom
-    return complex(total)
-
-
-#: Truncated power series must certify a tail below this bound.
-TAYLOR_TAIL_TOL = 1e-12
-
-
-def eval_via_taylor(freq, m: int, x: float, terms: int = 60) -> complex:
-    """Oracle route: truncated power series around the origin.
-
-    Sums ``terms`` series terms starting at order max(m, n) and certifies the
-    truncation with a geometric tail estimate; raises if the tail bound
-    exceeds ``TAYLOR_TAIL_TOL``.
-    """
-    freq = as_frequency_vector(freq)
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if terms < 1:
-        raise ValueError("need at least one series term")
-    n = freq.n
-    k0 = max(m, n)
-    klast = k0 + terms - 1
-    h = _homogeneous_prefix(freq.entries, klast - n)
-    total = 0j
-    ax = abs(x)
-    for k in range(k0, klast + 1):
-        total += h[k - n] * (x ** (k - m)) / math.factorial(k - m)
-
-    # Geometric tail estimate: |h_{k-n}| <= C(k, n) * max|l|**(k-n), so the
-    # first omitted term is bounded by b and the tail by b / (1 - ratio).
-    big = max(abs(v) for v in freq.entries)
-    kt = klast + 1
-    bound = math.comb(kt, n) * big ** (kt - n) * ax ** (kt - m) / math.factorial(kt - m)
-    ratio = (kt + 1) / (kt + 1 - n) * big * ax / (kt + 1 - m)
-    if bound != 0.0 and (ratio >= 1.0 or bound / (1.0 - ratio) > TAYLOR_TAIL_TOL):
-        raise ValueError(
-            f"series tail not certified below {TAYLOR_TAIL_TOL:g} after {terms} terms "
-            f"(bound {bound:.3e}, ratio {ratio:.3f}); increase terms or reduce |x|"
-        )
-    return complex(total)

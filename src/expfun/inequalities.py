@@ -31,11 +31,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frequencies import as_frequency_vector
+from .frequencies import _integer, as_frequency_vector
 from .fundamental import (
     FundamentalEvaluator,
     _grid,
-    _integer,
     _order_rows,
     _table,
     build_evaluator,
@@ -368,8 +367,12 @@ class HankelMatrix:
 
 
 def hankel_matrix(ev: FundamentalEvaluator, k: int, x: float) -> HankelMatrix:
-    """Build the (k+1) x (k+1) Hankel matrix of scaled derivatives at x."""
+    """Build the (k+1) x (k+1) Hankel matrix of scaled derivatives at x.
+
+    ValueError unless k is an integer (not a bool) with 0 <= 2k <= n + 1.
+    """
     n = ev.n
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("half-order k must be nonnegative")
     if 2 * k > n + 1:

@@ -18,8 +18,6 @@ from expfun import (
     build_evaluator,
     check_necessary,
     eval_derivative,
-    eval_via_partial_fractions,
-    eval_via_taylor,
     hankel_matrix,
     hausdorff_check,
     is_positive_definite,
@@ -31,6 +29,7 @@ from expfun import (
     verify_sign,
 )
 from expfun.cli import main as cli_main
+from float_oracles import eval_via_partial_fractions, eval_via_taylor
 
 
 @contextmanager

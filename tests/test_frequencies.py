@@ -140,6 +140,11 @@ class TestTaylorCoefficient:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             taylor_coefficient([1.0], -1)
+        # A bool order returned Phi^(1)(0) = 1 and a float one raised TypeError.
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                taylor_coefficient([-1, -2], bad)
+        assert taylor_coefficient([-1, -2], np.int64(2)) == -3
 
 
 class TestCheckNecessary:

@@ -15,10 +15,9 @@ from expfun import (
     derivative_table,
     eval_derivative,
     eval_derivative_complex,
-    eval_via_partial_fractions,
-    eval_via_taylor,
 )
 from expfun.frequencies import _conjugate_partners
+from float_oracles import eval_via_partial_fractions, eval_via_taylor
 from mpmath_oracle import eval_via_mpmath, expm_via_mpmath
 
 
@@ -291,14 +290,25 @@ class TestGuards:
     def test_non_finite_value_refused(self):
         # e^712 overflows the last column; the contraction's 0 * inf made the value NaN.
         ev = build_evaluator([0, 1000])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+        with pytest.raises(OverflowError):
             eval_derivative(ev, 0, 0.712)
+
+    def test_squarings_quiet_only_past_depth_9(self, monkeypatch):
+        # Up to depth 9 (|x| nu <= theta * 2**9 = 558.5) no squaring can overflow, and the
+        # kernel enters no np.errstate; past it, it squares quietly, overflow or not.
+        ev = build_evaluator([0, 1000])
+        entered = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+        assert math.isfinite(eval_derivative(ev, 0, 0.55))
+        assert entered == []
+        assert math.isfinite(eval_derivative(ev, 0, 0.56))
+        assert entered == [{"over": "ignore", "invalid": "ignore"}]
 
     def test_non_finite_complex_value_refused(self):
         # The complex variant reads the same contraction and refuses the same NaN.
         ev = build_evaluator([0, 1000])
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(OverflowError, match="not finite"):
+        with pytest.raises(OverflowError, match="not finite"):
             eval_derivative_complex(ev, 0, 0.712)
 
     @pytest.mark.parametrize("count", [5, 64])
@@ -308,8 +318,7 @@ class TestGuards:
         # anchor; with 64 points (blocks of 16) the points past x = 0.70978, where
         # e^(1000 x) overflows, are offset points of the anchor 0.70914.
         ev = build_evaluator([0, 1000])
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(OverflowError, match="not finite"):
+        with pytest.raises(OverflowError, match="not finite"):
             derivative_grid(ev, 0.70, 0.712, count, 0)
 
     def test_single_zero_frequency_at_large_abscissae(self):

@@ -72,7 +72,7 @@ class TestVerifySign:
     def test_non_finite_samples_refused(self):
         # NaN < -tol is false, so a NaN sample would otherwise count as nonnegative.
         ev = build_evaluator([0, 1000])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+        with pytest.raises(OverflowError):
             verify_sign(ev, 0, 0.70, 0.712, grid=64)
 
     def test_identically_zero_derivative_is_nonnegative(self):
@@ -455,6 +455,12 @@ class TestHankel:
         ev3 = build_evaluator([0, 1, -1])
         with pytest.raises(ValueError):
             hankel_matrix(ev3, 2, 1.0)
+        # A bool k gave a matrix with k=True and a float one an IndexError.
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                hankel_matrix(ev, bad, 0.5)
+        h = hankel_matrix(ev, np.int64(1), 0.5)
+        assert h.k == 1 and np.array_equal(h.entries, hankel_matrix(ev, 1, 0.5).entries)
 
     def test_definite_with_quadratic_form_floor(self):
         rng = np.random.default_rng(45)

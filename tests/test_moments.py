@@ -142,6 +142,14 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform(ev, Measure.from_atoms([(0.5, 1.0)], (0.0, 1.0)))
 
+    def test_overflowing_basis_value_refused(self):
+        # A symmetric vector needs no hypothesis scan; the basis values at 0.01 pass e^3000,
+        # and the squarings' overflow must reach the caller as an OverflowError, not as
+        # numpy's RuntimeWarning.
+        ev = build_evaluator([3e5, -3e5])
+        with pytest.raises(OverflowError, match="not finite"):
+            transform(ev, Measure.from_atoms([(0.01, 1.0)], (0.0, 1e13)))
+
     def test_negative_density_rejected(self):
         ev = build_evaluator([0, 1, -1])
         with pytest.raises(ValueError):
