@@ -41,7 +41,7 @@ from .fundamental import (
     derivative_table,
     eval_derivative,  # unused here; bench/test_smoke.py checks that tracing rebinds this copy
 )
-from .quadrature import gauss_legendre
+from .quadrature import nested_fejer
 
 __all__ = [
     "PolynomialCoeffs",
@@ -299,8 +299,9 @@ def _weighted_basis_sum(ev: FundamentalEvaluator, poly: PolynomialCoeffs, x: flo
     return float(sum(a * b[k] for k, a in enumerate(poly.coeffs) if a != 0.0))
 
 
-#: Gauss-Legendre orders of the convolution integral in ``identity_residual``,
-#: and the agreement its successive rules must reach.
+#: Fejer orders of the convolution integral in ``identity_residual`` (the
+#: first evaluation covers the 31 nodes of order 32), and the agreement the
+#: results of successive orders must reach.
 _IDENTITY_START_ORDER = 16
 _IDENTITY_MAX_ORDER = 4096
 _IDENTITY_TOL = 1e-11
@@ -313,10 +314,10 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float) -> float:
     sum_k a_k k! Phi^(n-k)(x) equals R(x) plus the convolution
     integral of R against Phi^(n+1) over [0, x]; the returned value is the
     absolute difference of the two sides.  The integral is computed by
-    Gauss-Legendre rules whose order doubles from 16 until two successive
-    results agree to ``1e-11 * (1 + |integral|)``; RuntimeError is raised
-    when they still differ at 4096 nodes.  Negative x integrates with the
-    orientation convention int_0^x = -int_x^0.
+    nested Fejer rules whose order doubles from 16 until the results of two
+    successive orders agree to ``1e-11 * (1 + |integral|)``; RuntimeError is
+    raised when they still differ at order 4096 (4095 nodes).  Negative x
+    integrates with the orientation convention int_0^x = -int_x^0.
     """
     poly = as_polynomial(poly)
     n = ev.n
@@ -324,8 +325,8 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float) -> float:
     if x == 0.0:
         integral = 0.0
     else:
-        integral = float(gauss_legendre(
-            lambda ts, ws: ws @ (poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1]),
+        integral = float(nested_fejer(
+            lambda ts: poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1],
             0.0, x, _IDENTITY_START_ORDER, _IDENTITY_MAX_ORDER, _IDENTITY_TOL,
         ))
     return abs(lhs - poly(x) - integral)

@@ -21,7 +21,7 @@ import numpy as np
 from .fundamental import FundamentalEvaluator, derivative_table
 from .inequalities import (_factorials, _hankel, _nonnegative_taylor, as_polynomial,
                           cholesky_factor, verify_sign)
-from .quadrature import gauss_legendre
+from .quadrature import nested_fejer
 
 __all__ = [
     "Measure",
@@ -118,22 +118,25 @@ def _basis_sum(ev: FundamentalEvaluator, ts: np.ndarray, weights: np.ndarray) ->
     return weights @ derivative_table(ev, ts, n)[:, ::-1] * _factorials(n + 1)
 
 
-#: Starting Gauss-Legendre order for density transforms.
-_GL_START_ORDER = 64
+#: Fejer order of the coarse rule for density transforms; the first
+#: evaluation covers the 127 nodes of order 128, which embeds it.
+_START_ORDER = 64
 
-#: Largest Gauss-Legendre order tried for density transforms.
-_GL_MAX_ORDER = 8192
+#: Largest Fejer order tried for density transforms (8191 nodes).
+_MAX_ORDER = 8192
 
-#: Successive quadrature refinements must agree to this tolerance.
-_GL_STABILITY_TOL = 1e-11
+#: The results of successive orders must agree to this tolerance.
+_STABILITY_TOL = 1e-11
 
 
 def transform(ev: FundamentalEvaluator, mu: Measure) -> MomentSequence:
     """Integrate the shifted basis functions against mu.
 
     s_k = integral of b_k(x - a) d mu(x) over the support [a, b].  Atomic
-    measures are summed exactly; densities use Gauss-Legendre quadrature with
-    the order doubled from 64 until two refinements agree to 1e-11.  The sign
+    measures are summed exactly; densities use nested Fejer quadrature whose
+    order doubles from 64 until two successive orders agree to 1e-11, and
+    raise RuntimeError when they still differ at order 8192 (8191 nodes).
+    The density is never evaluated at the ends of the support.  The sign
     hypothesis on [0, b - a] is proved, or sampled on 512 points: it is
     proved when the real frequencies split into pairs with nonnegative sums
     and single nonnegative entries, which make every Taylor coefficient of
@@ -170,14 +173,19 @@ def _density_transform(ev: FundamentalEvaluator, mu: Measure) -> np.ndarray:
     if b == a:
         return np.zeros(ev.n + 1)
 
-    def rule_sum(xs, ws):
+    n = ev.n
+    scale = _factorials(n + 1)
+
+    def values(xs):
         dens = np.array([mu.density(x) for x in xs.tolist()])
         if np.any(dens < -1e-12 * (1.0 + np.abs(dens).max())):
             raise ValueError("density is negative at a quadrature node")
         keep = dens != 0.0
-        return _basis_sum(ev, xs[keep] - a, ws[keep] * dens[keep])
+        out = np.zeros((xs.size, n + 1))
+        out[keep] = derivative_table(ev, xs[keep] - a, n)[:, ::-1] * scale * dens[keep, None]
+        return out
 
-    return gauss_legendre(rule_sum, a, b, _GL_START_ORDER, _GL_MAX_ORDER, _GL_STABILITY_TOL)
+    return nested_fejer(values, a, b, _START_ORDER, _MAX_ORDER, _STABILITY_TOL)
 
 
 def riesz_functional(s: MomentSequence, poly) -> float:
