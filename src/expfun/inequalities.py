@@ -322,13 +322,10 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float) -> float:
     poly = as_polynomial(poly)
     n = ev.n
     lhs = _weighted_basis_sum(ev, poly, x)
-    if x == 0.0:
-        integral = 0.0
-    else:
-        integral = float(nested_fejer(
-            lambda ts: poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1],
-            0.0, x, _IDENTITY_START_ORDER, _IDENTITY_MAX_ORDER, _IDENTITY_TOL,
-        ))
+    integral = float(nested_fejer(
+        lambda ts: poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1],
+        0.0, x, _IDENTITY_START_ORDER, _IDENTITY_MAX_ORDER, _IDENTITY_TOL,
+    ))
     return abs(lhs - poly(x) - integral)
 
 

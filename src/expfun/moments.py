@@ -258,12 +258,12 @@ def _gauss_from_moments(seq: np.ndarray, tol: float):
     d_{j+1} / d_j and the diagonal r_j - r_{j-1} (r_{-1} = 0).  The
     tridiagonal eigenproblem yields the nodes and the squared first
     eigenvector components (times seq[0]) the weights.  Rank deficiency
-    truncates K, matching a shorter moment prefix exactly.
+    truncates K, so the rule matches only the prefix seq[0..2K-1];
+    ``recover_measure`` returns a truncated rule only when it reproduces
+    every moment.  No pivot above tol (as when seq[0] <= tol or seq has
+    fewer than two entries) gives an empty rule.
     """
-    kmax = len(seq) // 2
-    if kmax == 0 or seq[0] <= tol:
-        return np.array([]), np.array([])
-    for K in range(kmax, 0, -1):
+    for K in range(len(seq) // 2, 0, -1):
         h = _hankel(seq, K)
         low = cholesky_factor(h, tol * max(1.0, float(np.abs(np.diagonal(h)).max())))
         if low is None:
@@ -292,11 +292,15 @@ def recover_measure(s: MomentSequence) -> Measure:
 
     Even-length data (odd n) use the plain Gauss rule of the sequence;
     odd-length data (even n) use the Gauss rule of the once-shifted sequence
-    plus an atom at the left endpoint, so that every available moment is
-    reproduced.  Each Hankel block's Cholesky pivots must exceed
-    1e-12 * max(1, largest diagonal entry); a block that fails is truncated.
-    Atoms must land inside the support (within 1e-8); the reproduced moments
-    are verified to 1e-8 * (1 + |s_k|) before returning.
+    plus an atom at the left endpoint that carries s_0 minus the mass of the
+    other atoms; shifted nodes within 1e-8 of the endpoint merge into it.
+    Each Hankel block's Cholesky pivots must exceed 1e-12 * max(1, largest
+    diagonal entry); a block that fails is truncated, and a truncated rule is
+    returned only when it reproduces every moment.  Atoms must land inside
+    the support (within 1e-8), and every s_0..s_n is verified to
+    1e-8 * (1 + |s_k|) before returning; ArithmeticError reports the first
+    moment that misses.  A sequence that leaves no atom gives the zero
+    measure, a weightless atom at the left endpoint.
     """
     report = hausdorff_check(s)
     if not report.passed:
@@ -306,52 +310,38 @@ def recover_measure(s: MomentSequence) -> Measure:
             "no nonnegative representing measure exists"
         )
     v = np.asarray(s.values)
-    n = s.n
     b = s.support_length
     a = s.origin
 
-    if n % 2 == 1:
+    if s.n % 2 == 1:
         nodes, weights = _gauss_from_moments(v, _PIVOT_TOL)
-        matched = 2 * len(nodes)
-        if len(nodes) == 0:
-            # Zero sequence: the zero measure, represented by a weightless atom.
-            nodes, weights = np.array([0.0]), np.array([0.0])
-            matched = n + 1
     else:
-        scale = float(np.abs(v).max())
-        if n == 0 or np.abs(v[1:]).max() <= 1e-14 * max(1.0, scale):
-            nodes, weights = np.array([0.0]), np.array([v[0]])
-            matched = n + 1
-        else:
-            nodes, weights = _gauss_from_moments(v[1:], _PIVOT_TOL)
-            if len(nodes) and nodes.min() <= _SUPPORT_SLACK:
-                raise ArithmeticError(
-                    "shifted Gauss node collapsed onto the left endpoint; "
-                    "sequence too degenerate to split off an endpoint atom"
-                )
-            matched = 1 + 2 * len(nodes)
-            weights = weights / nodes
-            w0 = float(v[0] - weights.sum())
-            if w0 < -1e-9 * max(1.0, scale):
-                raise ArithmeticError(
-                    f"endpoint weight {w0:.3e} is negative; recovery is inconsistent"
-                )
-            if w0 > 1e-14 * max(1.0, scale):
-                nodes = np.concatenate(([0.0], nodes))
-                weights = np.concatenate(([max(w0, 0.0)], weights))
+        nodes, weights = _gauss_from_moments(v[1:], _PIVOT_TOL)
+        inner = nodes > _SUPPORT_SLACK
+        nodes, weights = nodes[inner], weights[inner] / nodes[inner]
+        w0 = float(v[0] - weights.sum())
+        if w0 < -1e-9 * max(1.0, v[0]):
+            raise ArithmeticError(
+                f"endpoint weight {w0:.3e} is negative; recovery is inconsistent"
+            )
+        if w0 > 1e-14 * max(1.0, v[0]):
+            nodes = np.concatenate(([0.0], nodes))
+            weights = np.concatenate(([w0], weights))
+    if not len(nodes):
+        nodes, weights = np.array([0.0]), np.array([0.0])
 
-    if len(nodes) and (nodes.min() < -_SUPPORT_SLACK or nodes.max() > b + _SUPPORT_SLACK):
+    if nodes.min() < -_SUPPORT_SLACK or nodes.max() > b + _SUPPORT_SLACK:
         raise ArithmeticError(
             f"recovered atom at t={float(nodes.min() if nodes.min() < 0 else nodes.max())} "
             f"lies outside [0, {b}]; the sign hypothesis likely fails"
         )
     nodes = np.clip(nodes, 0.0, b if b > 0 else 0.0)
 
-    for k in range(min(matched, n + 1)):
-        got = float((weights * nodes**k).sum()) if len(nodes) else 0.0
+    for k in range(s.n + 1):
+        got = float((weights * nodes**k).sum())
         if abs(got - v[k]) > 1e-8 * (1.0 + abs(v[k])):
             raise ArithmeticError(
-                f"reconstructed moment {k} is {got!r}, expected {v[k]!r}; "
+                f"reconstructed moment {k} is {got!r}, expected {float(v[k])!r}; "
                 "sequence is too ill-conditioned for reliable recovery"
             )
 

@@ -244,6 +244,21 @@ class TestMoments:
         code, _, _ = run(capsys, ["moments", "--config", cfg, "--assert"])
         assert code == 1
 
+    def test_recovered_only_when_every_residual_is_small(self, tmp_path, capsys):
+        # Zero frequencies give s_k = 10**(k+1) / (k+1) for the uniform density
+        # on [0, 10]; the Gauss rule of these 18 moments loses rank and misses.
+        cfg = write_config(tmp_path, {
+            "frequencies": [0] * 18,
+            "measure": {"kind": "density", "support": [0, 10], "expr": "uniform"},
+        })
+        code, out, _ = run(capsys, ["moments", "--config", cfg, "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["sequence"] == pytest.approx([10.0 ** (k + 1) / (k + 1) for k in range(18)],
+                                                   rel=1e-12)
+        assert report["passed"] and not report["recovered"]
+        assert report["atoms"] is None and report["residuals"] is None
+
     def test_extra_support_bound_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "frequencies": [0, 1, -1],

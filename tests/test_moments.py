@@ -266,9 +266,19 @@ class TestHausdorffCheck:
 
 class TestRecoverMeasure:
     def test_unit_mass_at_origin(self):
-        s = MomentSequence((1.0, 0.0, 0.0), support_length=1.0, origin=0.0)
-        nu = recover_measure(s)
-        assert nu.atoms == ((0.0, 1.0),)
+        for values, atoms in [
+            ((1.0, 0.0, 0.0), ((0.0, 1.0),)),
+            ((2.0,), ((0.0, 2.0),)),
+            ((3.0, 0.0, 0.0, 0.0, 0.0), ((0.0, 3.0),)),
+            # Shifted nodes within 1e-8 of the endpoint merge into the endpoint atom.
+            ((1e6, 1e-9, 1e-18), ((0.0, 1e6),)),
+            ((1.0, 1e-9, 1e-18), ((0.0, 1.0),)),
+            # A small interior mass is kept beside the endpoint atom.
+            ((1e6, 1e-9, 1e-9), ((0.0, 1e6 - 1e-9), (1.0, 1e-9))),
+        ]:
+            s = MomentSequence(values, support_length=1.0, origin=0.0)
+            nu = recover_measure(s)
+            assert nu.atoms == atoms, values
 
     def test_polynomial_case_uniform_density(self):
         ev = build_evaluator([0, 0, 0, 0, 0])
@@ -346,8 +356,33 @@ class TestRecoverMeasure:
         with pytest.raises(ValueError):
             recover_measure(s)
 
+    def test_truncated_rule_must_reproduce_every_moment(self):
+        # The 2 x 2 block of (s_1, s_2, s_3) loses rank at the 1e-12 pivot
+        # floor, so the one-point rule matches s_0..s_2 only and misses s_3.
+        s = MomentSequence((1.0, 1.0, 1 + 1e-13, 1 + 1e-6), support_length=1e7, origin=0.0)
+        assert hausdorff_check(s).passed
+        with pytest.raises(ArithmeticError, match=r"moment 3 is .*, expected 1\.000001;"):
+            recover_measure(s)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_recovery_verifies_every_moment(self, seed):
+        # 22 frequencies uniform in [0, 1] and 40 atoms on [0, 10]: the Gauss
+        # rule loses rank, and a rule that misses a moment must be refused.
+        size = 22
+        rng = np.random.default_rng(1000 * size + seed)
+        freqs = rng.uniform(0, 1, size)
+        atoms = list(zip(rng.uniform(0, 10, 40), rng.uniform(0.1, 1, 40)))
+        s = transform(build_evaluator(list(freqs)), Measure.from_atoms(atoms, (0.0, 10.0)))
+        try:
+            nu = recover_measure(s)
+        except (ValueError, ArithmeticError):
+            return
+        got = ordinary_moments(nu.atoms, 0.0, s.n + 1)
+        for k, (g, want) in enumerate(zip(got, s.values)):
+            assert abs(g - want) <= 1e-8 * (1 + abs(want)), (k, g, want)
+
     def test_zero_sequence_recovers_zero_measure(self):
-        for values in ((0.0, 0.0), (0.0, 0.0, 0.0)):
+        for values in ((0.0,), (0.0, 0.0), (0.0, 0.0, 0.0)):
             s = MomentSequence(values, support_length=1.0, origin=0.0)
             nu = recover_measure(s)
             assert sum(w for _, w in nu.atoms) == 0.0
