@@ -5,16 +5,43 @@ derivatives, test polynomial dominance and Hankel positive-definiteness,
 bound the squared-derivative ratio, and push nonnegative measures through the
 basis transform into verified truncated moment sequences with recoverable
 atomic representatives.
+
+The layers load on first use (PEP 562): ``import expfun`` imports none of
+them.  A public name imports the layers in dependency order until one lists
+it, and is looked up in that layer on every access, so a rebinding there
+shows through; ``expfun.__all__``, ``dir(expfun)`` and ``from expfun import *``
+import all four.  A submodule attribute (``expfun.quadrature``,
+``expfun.cli``) imports that submodule.
 """
 
-from . import frequencies, fundamental, inequalities, moments
-from .frequencies import *
-from .fundamental import *
-from .inequalities import *
-from .moments import *
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-# Each layer's __all__ alone decides what is public; a new name goes there only.
-__all__ = [*frequencies.__all__, *fundamental.__all__, *inequalities.__all__,
-           *moments.__all__, "__version__"]
+#: The layers whose ``__all__`` make up the package's, in this order.
+_LAYERS = ("frequencies", "fundamental", "inequalities", "moments")
+_SUBMODULES = frozenset(_LAYERS) | {"quadrature", "cli"}
+
+
+def _submodule(name: str):
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _submodule(name)
+    if name == "__all__":
+        # Each layer's __all__ alone decides what is public; a new name goes there only.
+        public = [*(n for layer in _LAYERS for n in _submodule(layer).__all__), "__version__"]
+        globals()["__all__"] = public
+        return public
+    if not name.startswith("__"):
+        for layer in map(_submodule, _LAYERS):
+            if name in layer.__all__:
+                return getattr(layer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(sys.modules[__name__].__all__) | _SUBMODULES)

@@ -13,6 +13,12 @@ value, and ``_arguments`` checks a configuration against a command and calls
 it.  The ``output`` object is accepted by every command; ``main`` parses it
 before the command runs.
 
+Layers load on first use.  The module imports only ``frequencies`` and
+``fundamental``, all that ``eval`` runs; each command and config parser
+imports the library names it calls.  So ``inequalities`` loads for
+``verify``, ``hankel``, ``turan``, ``certify`` and ``moments``, and
+``moments`` and ``quadrature`` load for ``moments`` alone.
+
 Exit codes: 0 success (negative findings included), 1 a check failed under
 ``--assert``, 2 configuration error, 3 numerical failure.
 """
@@ -20,7 +26,6 @@ Exit codes: 0 success (negative findings included), 1 a check failed under
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import inspect
 import io
@@ -33,19 +38,6 @@ import numpy as np
 
 from .frequencies import FrequencyVector, check_necessary
 from .fundamental import build_evaluator, derivative_grid, derivative_table
-from .inequalities import (
-    CertificateKind,
-    DEFAULT_GRID,
-    PolynomialCoeffs,
-    _hankel,
-    _refine_sign_change,
-    _scaled,
-    _turan_ratios,
-    is_positive_definite,
-    monotonicity_certificate,
-    verify_sign,
-)
-from .moments import Measure, hausdorff_check, recover_measure, transform
 
 __all__ = ["main", "console_main"]
 
@@ -126,6 +118,8 @@ def _output(raw) -> dict:
 
 
 def _measure(raw) -> Measure:
+    from .moments import Measure
+
     if not isinstance(raw, dict) or raw.get("kind") not in ("atoms", "density"):
         raise ConfigError("must be an object whose 'kind' is 'atoms' or 'density'")
     field = "atoms" if raw["kind"] == "atoms" else "expr"
@@ -142,6 +136,8 @@ def _measure(raw) -> Measure:
 
 def _builtin_density(expr, origin):
     """Named densities in t = x - origin: uniform, truncexp(rate), poly(c0,c1,...)."""
+    from .inequalities import PolynomialCoeffs
+
     if not isinstance(expr, str):
         raise ConfigError("'expr' must be a string")
     name = expr.strip()
@@ -210,7 +206,10 @@ def _cmd_eval(frequencies, interval, m=0, samples=65):
     return payload, False
 
 
-def _cmd_verify(frequencies, m, interval, grid=DEFAULT_GRID, tol=1e-10, sign=1):
+# grid=4096 is inequalities.DEFAULT_GRID, written out because a default is evaluated at import.
+def _cmd_verify(frequencies, m, interval, grid=4096, tol=1e-10, sign=1):
+    from .inequalities import verify_sign
+
     lo, hi = interval
     if not lo < hi:
         raise ConfigError(f"bad interval [{lo}, {hi}]")
@@ -232,6 +231,8 @@ def _cmd_verify(frequencies, m, interval, grid=DEFAULT_GRID, tol=1e-10, sign=1):
 def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
     if 2 * k > frequencies.n + 1:
         raise ConfigError(f"k={k} too large for {frequencies.n + 1} frequencies (need 2k <= n + 1)")
+    from .inequalities import _hankel, _refine_sign_change, _scaled, is_positive_definite
+
     lo, hi = interval
     ev = build_evaluator(frequencies)
     xs = np.linspace(lo, hi, samples)
@@ -260,6 +261,8 @@ def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
 def _cmd_turan(frequencies, interval, samples=65):
     if frequencies.n < 2:
         raise ConfigError("ratio bounds need at least three frequencies (n >= 2)")
+    from .inequalities import _turan_ratios
+
     lo, hi = interval
     ev = build_evaluator(frequencies)
     upper = frequencies.n / (frequencies.n - 1)
@@ -278,6 +281,8 @@ def _cmd_turan(frequencies, interval, samples=65):
 
 
 def _cmd_moments(frequencies, measure, tol=None):
+    from .moments import hausdorff_check, recover_measure, transform
+
     ev = build_evaluator(frequencies)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -313,6 +318,8 @@ def _cmd_moments(frequencies, measure, tol=None):
 
 
 def _cmd_certify(frequencies):
+    from .inequalities import CertificateKind, monotonicity_certificate
+
     cert = monotonicity_certificate(frequencies)
     necessary = check_necessary(frequencies)
     payload = {
@@ -367,6 +374,8 @@ def _render_json(payload: dict) -> str:
 
 
 def _render_csv(payload: dict) -> str:
+    import csv
+
     if "rows" in payload:
         header, rows = payload["columns"], payload["rows"]
     elif payload["command"] in _CSV_REPORTS:

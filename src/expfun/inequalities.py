@@ -41,7 +41,6 @@ from .fundamental import (
     derivative_table,
     eval_derivative,  # unused here; bench/test_smoke.py checks that tracing rebinds this copy
 )
-from .quadrature import nested_fejer
 
 __all__ = [
     "PolynomialCoeffs",
@@ -290,17 +289,19 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     return SignReport("violated", witness, boundary, grid, sign)
 
 
-def _weighted_basis_sum(ev: FundamentalEvaluator, poly: PolynomialCoeffs, x: float) -> float:
-    """sum_k a_k b_k(x), with b_k(x) = k! Phi^(n-k)(x) the ``_scaled`` derivative_table row."""
-    n = ev.n
-    if poly.degree > n:
-        raise ValueError(f"polynomial degree {poly.degree} exceeds order index {n}")
-    b = _scaled(derivative_table(ev, [x], n)[0])
+def _check_degree(ev: FundamentalEvaluator, poly: PolynomialCoeffs) -> None:
+    if poly.degree > ev.n:
+        raise ValueError(f"polynomial degree {poly.degree} exceeds order index {ev.n}")
+
+
+def _weighted_basis_sum(poly: PolynomialCoeffs, row: np.ndarray) -> float:
+    """sum_k a_k b_k(x), with b_k(x) = k! Phi^(n-k)(x) the ``_scaled`` row of orders 0..n at x."""
+    b = _scaled(row)
     return float(sum(a * b[k] for k, a in enumerate(poly.coeffs) if a != 0.0))
 
 
 #: Fejer orders of the convolution integral in ``identity_residual`` (the
-#: first evaluation covers the 31 nodes of order 32), and the agreement the
+#: first evaluation covers x and the 31 nodes of order 32), and the agreement the
 #: results of successive orders must reach.
 _IDENTITY_START_ORDER = 16
 _IDENTITY_MAX_ORDER = 4096
@@ -319,13 +320,26 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float) -> float:
     raised when they still differ at order 4096 (4095 nodes).  Negative x
     integrates with the orientation convention int_0^x = -int_x^0.
     """
+    from .quadrature import nested_fejer
+
     poly = as_polynomial(poly)
     n = ev.n
-    lhs = _weighted_basis_sum(ev, poly, x)
-    integral = float(nested_fejer(
-        lambda ts: poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1],
-        0.0, x, _IDENTITY_START_ORDER, _IDENTITY_MAX_ORDER, _IDENTITY_TOL,
-    ))
+    _check_degree(ev, poly)
+    if not math.isfinite(x):  # the kernel's refusal, before the nodes are placed at x
+        derivative_table(ev, [x], n)
+    lhs = None
+
+    def integrand(ts):
+        nonlocal lhs
+        if lhs is not None:
+            return poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1]
+        # The first call also takes the left side's row at x: one kernel call for both.
+        table = derivative_table(ev, np.concatenate(([x], x - ts)), n + 1)
+        lhs = _weighted_basis_sum(poly, table[0, :n + 1])
+        return poly(ts) * table[1:, n + 1]
+
+    integral = float(nested_fejer(integrand, 0.0, x, _IDENTITY_START_ORDER,
+                                  _IDENTITY_MAX_ORDER, _IDENTITY_TOL))
     return abs(lhs - poly(x) - integral)
 
 
@@ -336,7 +350,8 @@ def dominance_gap(ev: FundamentalEvaluator, poly, x: float) -> float:
     strictly positive for x in (0, B] and exactly zero at x = 0.
     """
     poly = as_polynomial(poly)
-    return _weighted_basis_sum(ev, poly, x) - poly(x)
+    _check_degree(ev, poly)
+    return _weighted_basis_sum(poly, derivative_table(ev, [x], ev.n)[0]) - poly(x)
 
 
 @dataclass(frozen=True, slots=True)

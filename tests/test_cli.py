@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 import expfun
 import expfun.cli
 from expfun.cli import main
-from expfun.inequalities import BISECTION_XTOL
+from expfun.inequalities import BISECTION_XTOL, DEFAULT_GRID
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -93,6 +94,10 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--config", cfg, "--assert", "--format", "json"])
         assert code == 0
         assert json.loads(out)["status"] == "nonnegative"
+
+    def test_default_grid_is_the_library_default(self):
+        grid = inspect.signature(expfun.cli._cmd_verify).parameters["grid"].default
+        assert grid == DEFAULT_GRID
 
 
 class TestHankel:
@@ -504,3 +509,67 @@ class TestImportGraph:
         namespace = {}
         exec("from expfun import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(expfun.__all__)
+
+    def test_package_surface(self, monkeypatch):
+        assert set(expfun.__all__) <= set(dir(expfun))
+        assert expfun.quadrature is sys.modules["expfun.quadrature"]
+        assert expfun.cli is sys.modules["expfun.cli"]
+        assert not hasattr(expfun, "no_such_name")
+        # A public name is looked up in its layer on every access, not cached at the first.
+        assert expfun.build_evaluator is expfun.fundamental.build_evaluator
+        monkeypatch.setattr(expfun.fundamental, "build_evaluator", None)
+        assert expfun.build_evaluator is None
+
+
+#: Configs of the six commands, small enough to run in a fresh interpreter each.
+COMMAND_CONFIGS = {
+    "eval": {"frequencies": [-1, -2, 0.5], "m": 1, "interval": [-2, 3], "samples": 9},
+    "verify": {"frequencies": [-1, -2], "m": 0, "interval": [0, 3]},
+    "hankel": {"frequencies": [-1, -2], "k": 1, "interval": [0, 3], "samples": 9},
+    "turan": {"frequencies": [-1, -2, 0.5], "interval": [0.5, 2], "samples": 9},
+    "certify": {"frequencies": [-1, 1]},
+    "moments": {"frequencies": [-1, 0, 1], "measure": {
+        "kind": "density", "support": [0, 1], "expr": "truncexp(2)"}},
+}
+
+BASE = ["frequencies", "fundamental"]
+
+
+def loaded_layers(code: str) -> list:
+    """The expfun submodules a fresh interpreter has loaded after running ``code``."""
+    src = str(Path(expfun.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = code + ("\nimport sys\n"
+                    "print(*sorted(m[7:] for m in sys.modules if m.startswith('expfun.')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("code, layers", [
+    ("import expfun", []),
+    ("import expfun; expfun.build_evaluator", BASE),
+    ("import expfun; expfun.quadrature", ["quadrature"]),
+    ("import expfun; expfun.cli", ["cli", *BASE]),
+    ("import expfun.cli", ["cli", *BASE]),
+], ids=["package", "fundamental_name", "quadrature_attribute", "cli_attribute", "cli"])
+def test_import_loads_only_what_it_names(code, layers):
+    assert loaded_layers(code) == layers
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("eval", ["cli", *BASE]),
+    ("verify", ["cli", *BASE, "inequalities"]),
+    ("hankel", ["cli", *BASE, "inequalities"]),
+    ("turan", ["cli", *BASE, "inequalities"]),
+    ("certify", ["cli", *BASE, "inequalities"]),
+    ("moments", ["cli", *BASE, "inequalities", "moments", "quadrature"]),
+])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
+    cfg = write_config(tmp_path, COMMAND_CONFIGS[command])
+    out = str(tmp_path / "out.csv")
+    code = f"from expfun.cli import main; assert main([{command!r}, '--config', {cfg!r}, " \
+           f"'--out', {out!r}]) == 0"
+    assert loaded_layers(code) == layers

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import expfun.fundamental as fundamental
 import expfun.inequalities as inequalities
 from expfun import (
     CertificateKind,
@@ -339,6 +340,22 @@ class TestIdentityResidual:
         ev = build_evaluator([-1, -2])
         with pytest.raises(ValueError):
             identity_residual(ev, [0.0, 0.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_is_refused_before_the_nodes_are_placed(self, x):
+        # Nodes placed on [0, inf] would be inf - inf, a RuntimeWarning under the suite's filter.
+        with pytest.raises(ValueError, match="abscissae must be finite"):
+            identity_residual(build_evaluator([-1, -2]), [1.0, 1.0], x)
+
+    def test_one_kernel_call_when_the_first_orders_agree(self, monkeypatch):
+        # The left side's row at x rides with the 31 nodes of the first Fejer rule, and
+        # the rules of orders 16 and 32 agree here, so no further node is evaluated.
+        seen = []
+        exponentials = fundamental._exponentials
+        monkeypatch.setattr(fundamental, "_exponentials",
+                            lambda ev, xs: seen.append(len(xs)) or exponentials(ev, xs))
+        assert identity_residual(build_evaluator([-1, -2]), [1.0, 1.0], 1.0) <= 1e-9
+        assert seen == [32]
 
 
 class TestDominance:
