@@ -28,6 +28,11 @@ def _submodule(name: str):
     return importlib.import_module(f"{__name__}.{name}")
 
 
+#: Public name -> the layer that lists it, filled on first access.  The value is
+#: read from the layer each time, so a rebinding there shows through.
+_owners = {}
+
+
 def __getattr__(name: str):
     if name in _SUBMODULES:
         return _submodule(name)
@@ -36,11 +41,14 @@ def __getattr__(name: str):
         public = [*(n for layer in _LAYERS for n in _submodule(layer).__all__), "__version__"]
         globals()["__all__"] = public
         return public
-    if not name.startswith("__"):
-        for layer in map(_submodule, _LAYERS):
-            if name in layer.__all__:
-                return getattr(layer, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    owner = _owners.get(name)
+    if owner is None and not name.startswith("__"):
+        owner = next((m for m in map(_submodule, _LAYERS) if name in m.__all__), None)
+        if owner is not None:
+            _owners[name] = owner
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(owner, name)
 
 
 def __dir__():
