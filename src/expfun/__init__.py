@@ -8,10 +8,11 @@ atomic representatives.
 
 The layers load on first use (PEP 562): ``import expfun`` imports none of
 them.  A public name imports the layers in dependency order until one lists
-it, and is looked up in that layer on every access, so a rebinding there
-shows through; ``expfun.__all__``, ``dir(expfun)`` and ``from expfun import *``
-import all four.  A submodule attribute (``expfun.quadrature``,
-``expfun.cli``) imports that submodule.
+it in its ``__all__``, and that search repeats on every access, so a
+rebinding in the layer, or a name leaving its ``__all__``, shows through;
+``expfun.__all__``, ``dir(expfun)`` and ``from expfun import *`` import all
+four.  A submodule attribute (``expfun.quadrature``, ``expfun.cli``) imports
+that submodule.
 """
 
 import importlib
@@ -28,27 +29,17 @@ def _submodule(name: str):
     return importlib.import_module(f"{__name__}.{name}")
 
 
-#: Public name -> the layer that lists it, filled on first access.  The value is
-#: read from the layer each time, so a rebinding there shows through.
-_owners = {}
-
-
 def __getattr__(name: str):
     if name in _SUBMODULES:
         return _submodule(name)
     if name == "__all__":
         # Each layer's __all__ alone decides what is public; a new name goes there only.
-        public = [*(n for layer in _LAYERS for n in _submodule(layer).__all__), "__version__"]
-        globals()["__all__"] = public
-        return public
-    owner = _owners.get(name)
-    if owner is None and not name.startswith("__"):
-        owner = next((m for m in map(_submodule, _LAYERS) if name in m.__all__), None)
-        if owner is not None:
-            _owners[name] = owner
-    if owner is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(owner, name)
+        return [*(n for layer in _LAYERS for n in _submodule(layer).__all__), "__version__"]
+    if not name.startswith("__"):
+        for layer in map(_submodule, _LAYERS):
+            if name in layer.__all__:
+                return getattr(layer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

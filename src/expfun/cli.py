@@ -188,7 +188,8 @@ def _arguments(command, config: dict):
 # ---------------------------------------------------------------------------
 # Commands.  Parameters are config keys, already parsed.  Each returns
 # (payload, violated) where payload carries either "columns"/"rows" (table)
-# or report fields, and violated drives --assert.
+# or report fields, and violated drives --assert; ``main`` puts the command's
+# name first.
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(frequencies, interval, m=0, samples=65):
@@ -198,7 +199,6 @@ def _cmd_eval(frequencies, interval, m=0, samples=65):
     values = derivative_grid(ev, lo, hi, samples, m)[:, m]
     rows = [[float(x), float(v)] for x, v in zip(xs, values)]
     payload = {
-        "command": "eval",
         "m": m,
         "columns": ["x", "value"],
         "rows": rows,
@@ -216,7 +216,6 @@ def _cmd_verify(frequencies, m, interval, grid=4096, tol=1e-10, sign=1):
     ev = build_evaluator(frequencies)
     rep = verify_sign(ev, m, lo, hi, grid=grid, tol=tol, sign=sign)
     payload = {
-        "command": "verify",
         "m": m,
         "interval": [lo, hi],
         "sign": sign,
@@ -249,7 +248,6 @@ def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
                     for (x0, d0, _), (x1, d1, _) in zip(rows, rows[1:])
                     if (d0 < 0.0) != (d1 < 0.0)]
     payload = {
-        "command": "hankel",
         "k": k,
         "columns": ["x", "det", "positive_definite"],
         "rows": rows,
@@ -273,7 +271,6 @@ def _cmd_turan(frequencies, interval, samples=65):
         x > 0 and not (1.0 - 1e-9 <= ratio < upper + 1e-9) for x, ratio, _, _ in rows
     )
     payload = {
-        "command": "turan",
         "columns": ["x", "ratio", "lower", "upper"],
         "rows": rows,
     }
@@ -304,7 +301,6 @@ def _cmd_moments(frequencies, measure, tol=None):
         except (ValueError, ArithmeticError):
             pass
     payload = {
-        "command": "moments",
         "sequence": list(seq.values),
         "support": [seq.origin, seq.origin + seq.support_length],
         "hypothesis_certified": seq.hypothesis_certified,
@@ -323,7 +319,6 @@ def _cmd_certify(frequencies):
     cert = monotonicity_certificate(frequencies)
     necessary = check_necessary(frequencies)
     payload = {
-        "command": "certify",
         "kind": cert.kind.value,
         "rounds": cert.rounds,
         "pairs": [list(p) for p in cert.pairs],
@@ -428,6 +423,7 @@ def main(argv=None) -> int:
         print(f"expfun: numerical failure: {exc}", file=sys.stderr)
         return 3
 
+    payload = {"command": args.command, **payload}
     fmt = args.format or output.get("format") or "csv"
     text = _render_json(payload) if fmt == "json" else _render_csv(payload)
 

@@ -9,6 +9,7 @@ inequalities, the moment transform) is parameterised by this vector.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -73,10 +74,10 @@ def _matching(left: Sequence[complex], right: Sequence[complex], tol: float):
     """Indices into right matched to each entry of left, or None if some distance exceeds tol.
 
     Greedy bipartite matching: each left element, taken in (real, imag)
-    order, grabs the closest unused right element.
+    order, grabs the closest unused right element.  ValueError unless tol is
+    finite and nonnegative.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _tolerance(tol, "tol")
     remaining = list(range(len(right)))
     match = [0] * len(left)
     for i in sorted(range(len(left)), key=lambda i: (left[i].real, left[i].imag)):
@@ -124,6 +125,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def _tolerance(value, name: str):
+    """value unchanged when it is finite and nonnegative; otherwise ValueError."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
 
 
 def _homogeneous_prefix(entries: Sequence[complex], dmax: int) -> list:

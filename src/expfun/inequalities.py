@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frequencies import _integer, as_frequency_vector
+from .frequencies import _integer, _tolerance, as_frequency_vector
 from .fundamental import (
     FundamentalEvaluator,
     _grid,
@@ -262,8 +262,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         raise ValueError(f"sign must be the int 1 or -1, got {sign!r}")
     if _integer(m, "m") < 0:
         raise ValueError("derivative order must be nonnegative")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    _tolerance(tol, "tol")
 
     rows = _order_rows(ev, m + 2)[m:]
     rows = rows if sign == 1 else -rows
@@ -294,18 +293,19 @@ def _check_degree(ev: FundamentalEvaluator, poly: PolynomialCoeffs) -> None:
         raise ValueError(f"polynomial degree {poly.degree} exceeds order index {ev.n}")
 
 
-def _weighted_basis_sum(poly: PolynomialCoeffs, row: np.ndarray) -> float:
-    """sum_k a_k b_k(x), with b_k(x) = k! Phi^(n-k)(x) the ``_scaled`` row of orders 0..n at x."""
-    b = _scaled(row)
-    return float(sum(a * b[k] for k, a in enumerate(poly.coeffs) if a != 0.0))
+def _riesz(poly: PolynomialCoeffs, seq) -> float:
+    """sum_k a_k seq[k] over the nonzero a_k: the functional sending t**k to seq[k].
+
+    On the ``_scaled`` row of orders 0..n at x this is the weighted basis sum
+    sum_k a_k b_k(x), with b_k(x) = k! Phi^(n-k)(x).
+    """
+    return float(sum(a * seq[k] for k, a in enumerate(poly.coeffs) if a != 0.0))
 
 
 #: Fejer orders of the convolution integral in ``identity_residual`` (the
-#: first evaluation covers x and the 31 nodes of order 32), and the agreement the
-#: results of successive orders must reach.
+#: first evaluation covers x and the 31 nodes of order 32).
 _IDENTITY_START_ORDER = 16
 _IDENTITY_MAX_ORDER = 4096
-_IDENTITY_TOL = 1e-11
 
 
 def identity_residual(ev: FundamentalEvaluator, poly, x: float) -> float:
@@ -320,7 +320,7 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float) -> float:
     raised when they still differ at order 4096 (4095 nodes).  Negative x
     integrates with the orientation convention int_0^x = -int_x^0.
     """
-    from .quadrature import nested_fejer
+    from .quadrature import _FEJER_TOL, nested_fejer
 
     poly = as_polynomial(poly)
     n = ev.n
@@ -335,11 +335,11 @@ def identity_residual(ev: FundamentalEvaluator, poly, x: float) -> float:
             return poly(ts) * derivative_table(ev, x - ts, n + 1)[:, n + 1]
         # The first call also takes the left side's row at x: one kernel call for both.
         table = derivative_table(ev, np.concatenate(([x], x - ts)), n + 1)
-        lhs = _weighted_basis_sum(poly, table[0, :n + 1])
+        lhs = _riesz(poly, _scaled(table[0, :n + 1]))
         return poly(ts) * table[1:, n + 1]
 
     integral = float(nested_fejer(integrand, 0.0, x, _IDENTITY_START_ORDER,
-                                  _IDENTITY_MAX_ORDER, _IDENTITY_TOL))
+                                  _IDENTITY_MAX_ORDER, _FEJER_TOL))
     return abs(lhs - poly(x) - integral)
 
 
@@ -351,7 +351,7 @@ def dominance_gap(ev: FundamentalEvaluator, poly, x: float) -> float:
     """
     poly = as_polynomial(poly)
     _check_degree(ev, poly)
-    return _weighted_basis_sum(poly, derivative_table(ev, [x], ev.n)[0]) - poly(x)
+    return _riesz(poly, _scaled(derivative_table(ev, [x], ev.n)[0])) - poly(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -444,8 +444,11 @@ def cholesky_factor(h, tol: float) -> Optional[np.ndarray]:
 
 
 def is_positive_definite(h, tol: float = 0.0) -> bool:
-    """True iff an unpivoted Cholesky factorization has every pivot above tol."""
-    return cholesky_factor(h, tol) is not None
+    """True iff an unpivoted Cholesky factorization has every pivot above tol.
+
+    ValueError unless tol is finite and nonnegative.
+    """
+    return cholesky_factor(h, _tolerance(tol, "tol")) is not None
 
 
 def polynomial_nonnegative_on(poly, lo: float, hi: float) -> bool:

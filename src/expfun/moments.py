@@ -18,10 +18,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .frequencies import _tolerance
 from .fundamental import FundamentalEvaluator, derivative_table
-from .inequalities import (_factorials, _hankel, _nonnegative_taylor, as_polynomial,
-                          cholesky_factor, verify_sign)
-from .quadrature import nested_fejer
+from .inequalities import (_factorials, _hankel, _nonnegative_taylor, _riesz, _scaled,
+                          as_polynomial, cholesky_factor, verify_sign)
+from .quadrature import _FEJER_TOL, nested_fejer
 
 __all__ = [
     "Measure",
@@ -125,9 +126,6 @@ _START_ORDER = 64
 #: Largest Fejer order tried for density transforms (8191 nodes).
 _MAX_ORDER = 8192
 
-#: The results of successive orders must agree to this tolerance.
-_STABILITY_TOL = 1e-11
-
 
 def transform(ev: FundamentalEvaluator, mu: Measure) -> MomentSequence:
     """Integrate the shifted basis functions against mu.
@@ -174,7 +172,6 @@ def _density_transform(ev: FundamentalEvaluator, mu: Measure) -> np.ndarray:
         return np.zeros(ev.n + 1)
 
     n = ev.n
-    scale = _factorials(n + 1)
 
     def values(xs):
         dens = np.array([mu.density(x) for x in xs.tolist()])
@@ -182,10 +179,10 @@ def _density_transform(ev: FundamentalEvaluator, mu: Measure) -> np.ndarray:
             raise ValueError("density is negative at a quadrature node")
         keep = dens != 0.0
         out = np.zeros((xs.size, n + 1))
-        out[keep] = derivative_table(ev, xs[keep] - a, n)[:, ::-1] * scale * dens[keep, None]
+        out[keep] = _scaled(derivative_table(ev, xs[keep] - a, n)) * dens[keep, None]
         return out
 
-    return nested_fejer(values, a, b, _START_ORDER, _MAX_ORDER, _STABILITY_TOL)
+    return nested_fejer(values, a, b, _START_ORDER, _MAX_ORDER, _FEJER_TOL)
 
 
 def riesz_functional(s: MomentSequence, poly) -> float:
@@ -193,7 +190,7 @@ def riesz_functional(s: MomentSequence, poly) -> float:
     poly = as_polynomial(poly)
     if poly.degree > s.n:
         raise ValueError(f"polynomial degree {poly.degree} exceeds sequence length")
-    return float(sum(a * s.values[k] for k, a in enumerate(poly.coeffs) if a != 0.0))
+    return _riesz(poly, s.values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,7 +231,10 @@ def hausdorff_check(s: MomentSequence, tol: Optional[float] = None) -> Hausdorff
     the block of b*s_{i+j+1} - s_{i+j+2}.  Each matrix passes when its
     smallest eigenvalue clears -tol (default 1e-10 times max(1, its largest
     absolute eigenvalue), which is the spectral norm of a symmetric matrix).
+    A given tol must be finite and nonnegative (ValueError).
     """
+    if tol is not None:
+        _tolerance(tol, "tol")
     checks = []
     passed = True
     for label, mat in _psd_conditions(s):

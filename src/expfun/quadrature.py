@@ -18,6 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+#: Agreement that both integrals, the density transform and ``identity_residual``,
+#: ask of the results of successive orders.
+_FEJER_TOL = 1e-11
+
 
 @functools.lru_cache(maxsize=None)
 def fejer_rule(order: int) -> tuple:

@@ -58,6 +58,13 @@ class TestConjugateClosed:
         with pytest.raises(ValueError):
             is_conjugate_closed([1.0], tol=-1.0)
 
+    @pytest.mark.parametrize("predicate", [is_conjugate_closed, is_symmetric])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-300])
+    def test_tol_must_be_finite_and_nonnegative(self, predicate, tol):
+        # A NaN tol matched every pair: both predicates held for [1, 2j].
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            predicate([1.0, 2j], tol=tol)
+
 
 class TestSymmetric:
     def test_unbalanced_multiset(self):

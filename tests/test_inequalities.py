@@ -539,6 +539,12 @@ class TestPositiveDefinite:
     def test_indefinite_fails(self):
         assert not is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [-10.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # tol=-10 let the pivot -3 through to math.sqrt, which raised "math domain error".
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            is_positive_definite([[1.0, 2.0], [2.0, 1.0]], tol=tol)
+
     def test_single_entry_from_positive_value(self):
         ev = build_evaluator([-1, 0, 1])
         assert verify_sign(ev, 3, 0.0, 3.0, grid=128).status == "nonnegative"

@@ -216,6 +216,13 @@ class TestHausdorffCheck:
         s = MomentSequence((1.0, 2.0, 0.0, 0.0, 0.0), support_length=1.0, origin=0.0)
         assert not hausdorff_check(s).passed
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # tol=inf passed a sequence that no measure on [0, 1] has.
+        s = MomentSequence((1.0, 2.0, 0.0, 0.0, 0.0), support_length=1.0, origin=0.0)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            hausdorff_check(s, tol)
+
     def test_two_moment_conditions(self):
         ok = MomentSequence((1.0, 0.4), support_length=1.0, origin=0.0)
         assert hausdorff_check(ok).passed
