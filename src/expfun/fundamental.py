@@ -22,7 +22,10 @@ scaling-and-squaring kernel that takes a batch of abscissae, in the dtype
 of A.  The evaluator stores the powers (A/||A||_2)**k, k = 0..n+18, once,
 so that the kernel builds the Taylor polynomial of every scaled abscissa
 from one product of its coefficients with those powers, with no solve,
-before the squarings:
+before the squarings.  A batch of one abscissa, as every single-point query
+and one-point grid passes, runs the same arithmetic on Python scalars, with
+no sort, search or copy-back, so its values are the bits a batch gives the
+same abscissa.  The two entry points:
 
 * ``derivative_table`` takes any abscissae and spends one exponential per
   point, passing them to the kernel in slices of bounded working memory.
@@ -58,6 +61,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -173,7 +177,7 @@ def build_evaluator(freq) -> FundamentalEvaluator:
     powers = np.empty((len(z) + _TAYLOR_DEGREE,) + z.shape, dtype=z.dtype)
     powers[0] = np.eye(len(z))
     for k in range(1, len(powers)):
-        powers[k] = powers[k - 1] @ unit
+        np.matmul(powers[k - 1], unit, out=powers[k])
     powers = powers.reshape(len(powers), -1)
     for array in (diagonal, upper, lower, rows, powers):
         if array is not None:
@@ -258,7 +262,7 @@ def _realization(entries, partners) -> tuple:
             math.prod(upper, start=1.0))
 
 
-def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
+def _squarings(ev: FundamentalEvaluator, xs: np.ndarray):
     """Scaling depth ceil(log2(|x| |A|_2 / theta)) per abscissa, 0 within theta.
 
     The depth is read off the binary exponent of |x| |A|_2 / theta, so it is
@@ -268,15 +272,21 @@ def _squarings(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     accepts |x| |A|_2 = theta * 2**60 and refuses the next float above it,
     as well as a product |x| |A|_2 that overflows; once it has passed, no
     product overflows, so the depths are formed without ``np.errstate``.
+    A batch of one abscissa takes the same steps on its Python float, with
+    ``math.frexp`` on the guard's own product, and returns its depth as a
+    Python int in a 1-tuple; a larger batch returns an integer array.
     """
+    if len(xs) == 1:
+        mantissa, exponent = math.frexp(_guard(ev, abs(xs.item())))
+        return (max(exponent - (mantissa == 0.5), 0),)
     size = np.abs(xs)
     _guard(ev, np.maximum.reduce(size, initial=0.0))
     mantissa, exponent = np.frexp(size * ev.norm / _THETA)
     return np.maximum(exponent - (mantissa == 0.5), 0)
 
 
-def _guard(ev: FundamentalEvaluator, size: float) -> None:
-    """Refuse an abscissa of modulus ``size`` whose depth would pass the 2**60 guard.
+def _guard(ev: FundamentalEvaluator, size: float) -> float:
+    """|x| nu / theta for an abscissa of modulus ``size``, refused past the 2**60 guard.
 
     The test runs on one Python float, whose product overflows to inf
     without a warning, so callers need no ``np.errstate``.
@@ -291,6 +301,15 @@ def _guard(ev: FundamentalEvaluator, size: float) -> None:
             f"matrix exponential needs 2**{worst} scaling, beyond the 2**{_MAX_SQUARINGS} guard; "
             "reduce |x| * max|frequency|"
         )
+    return scaled
+
+
+@lru_cache
+def _divisors(count: int) -> np.ndarray:
+    """The divisors 1.0, 2.0, ..., count of the Taylor coefficients, formed once per count."""
+    divisors = np.arange(1.0, count + 1.0)
+    divisors.setflags(write=False)
+    return divisors
 
 
 def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
@@ -308,28 +327,46 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     sign), and at every x when A = 0 (the single frequency 0, nu = 0), the
     coefficients are 1, 0, 0, ..., so the matrix is the identity exactly.
 
+    A batch of one abscissa, every single-point query, runs the same
+    arithmetic on Python scalars: its depth from ``_squarings``, t and
+    t nu / k as Python floats, the same accumulated product and stacked
+    Taylor product on a 1 x 1 x (n + 19) array, then ``depth`` squarings
+    r = r @ r of the 1 x (n+1) x (n+1) stack, the same matmul a batch runs
+    on a tail of one matrix.  So it returns the batch's bits with no sort,
+    search or copy-back.
+
     Memory grows with the size of xs, which callers bound.  Each squaring
     acts on the tail of the stack that still needs it; one ``searchsorted``
     finds the tails' starts, unless the depths are all equal.  Only where
     the depths decrease somewhere, as among a grid's factors, are the
     abscissae sorted by depth and the order of xs restored by one scatter;
-    probe pairs, single abscissae and ascending quadrature nodes need
-    neither.  Matrices have the dtype of A, complex only when A is.  A
-    stack deeper than ``_QUIET_DEPTH`` is squared under ``np.errstate``, so
-    that an overflow leaves an inf or a NaN for ``_finite`` to refuse with
-    no warning, also under -W error.
+    probe pairs and ascending quadrature nodes need neither.  Matrices have
+    the dtype of A, complex only when A is.  A stack deeper than
+    ``_QUIET_DEPTH`` is squared under ``np.errstate``, so that an overflow
+    leaves an inf or a NaN for ``_finite`` to refuse with no warning, also
+    under -W error.
     """
+    dim = len(ev.diagonal)
+    terms = len(ev.powers)
+    divisors = _divisors(terms - 1)
+    if len(xs) == 1:
+        depth, = _squarings(ev, xs)
+        coeffs = np.ones((1, terms))
+        np.multiply.accumulate(xs.item() / 2.0 ** depth * ev.norm / divisors, out=coeffs[0, 1:])
+        r = (coeffs[:, None, :] @ ev.powers).reshape(1, dim, dim)
+        with (np.errstate(over="ignore", invalid="ignore") if depth > _QUIET_DEPTH
+              else _NO_ERRSTATE):
+            for _ in range(depth):
+                r = r @ r
+        return r
     depth = _squarings(ev, xs)
     order = None
-    if len(xs) > 1 and (depth[1:] < depth[:-1]).any():
+    if (depth[1:] < depth[:-1]).any():
         order = np.argsort(depth, kind="stable")
         depth, xs = depth[order], xs[order]
     t = xs / 2.0 ** depth
-    dim = len(ev.diagonal)
-    terms = len(ev.powers)
     coeffs = np.ones((len(xs), terms))
-    np.multiply.accumulate((t * ev.norm)[:, None] / np.arange(1, terms), axis=1,
-                           out=coeffs[:, 1:])
+    np.multiply.accumulate((t * ev.norm)[:, None] / divisors, axis=1, out=coeffs[:, 1:])
     r = (coeffs[:, None, :] @ ev.powers).reshape(len(xs), dim, dim)
     if depth[0] == depth[-1]:
         starts = [0] * int(depth[-1])

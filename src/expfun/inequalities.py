@@ -73,7 +73,11 @@ _HERMITE_STEPS = 8
 
 @dataclass(frozen=True, slots=True)
 class PolynomialCoeffs:
-    """Real polynomial a_0 + a_1 x + ... + a_d x**d by ascending coefficients."""
+    """Real polynomial a_0 + a_1 x + ... + a_d x**d by ascending coefficients.
+
+    ValueError for no coefficient or one that is not finite: an inf or a NaN
+    would read as nonnegative or as a NaN gap, or stall the quadrature.
+    """
 
     coeffs: tuple
 
@@ -81,6 +85,9 @@ class PolynomialCoeffs:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("need at least one coefficient")
+        for i, c in enumerate(self.coeffs):
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient a_{i} = {c!r} is not finite")
 
     @property
     def degree(self) -> int:

@@ -295,15 +295,20 @@ class TestGuards:
 
     def test_squarings_quiet_only_past_depth_9(self, monkeypatch):
         # Up to depth 9 (|x| nu <= theta * 2**9 = 558.5) no squaring can overflow, and the
-        # kernel enters no np.errstate; past it, it squares quietly, overflow or not.
+        # kernel enters no np.errstate; past it, it squares quietly, overflow or not.  Both
+        # routes: one abscissa on Python scalars, and a batch of two whose depths need sorting.
         ev = build_evaluator([0, 1000])
         entered = []
         errstate = np.errstate
         monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+        quiet = {"over": "ignore", "invalid": "ignore"}
         assert math.isfinite(eval_derivative(ev, 0, 0.55))
+        assert np.isfinite(derivative_table(ev, [0.55, 0.0], 0)).all()
         assert entered == []
         assert math.isfinite(eval_derivative(ev, 0, 0.56))
-        assert entered == [{"over": "ignore", "invalid": "ignore"}]
+        assert entered == [quiet]
+        assert np.isfinite(derivative_table(ev, [0.56, 0.0], 0)).all()
+        assert entered == [quiet] * 2
 
     def test_non_finite_complex_value_refused(self):
         # The complex variant reads the same contraction and refuses the same NaN.
@@ -534,10 +539,13 @@ class TestExponentialsOracle:
         assert ev.norm == 1.0
         edge = fundamental._THETA * 2.0 ** fundamental._MAX_SQUARINGS
         assert fundamental._squarings(ev, np.array([edge, -edge])).tolist() == [60, 60]
+        # One abscissa takes the Python-scalar route: the same edge, the same refusal.
+        for x in (edge, -edge):
+            assert fundamental._squarings(ev, np.array([x])) == (60,)
         past = np.nextafter(edge, math.inf)
-        for x in (past, -past):
+        for xs in ([past], [-past], [past, 0.0], [0.0, -past]):
             with pytest.raises(ValueError, match="2\\*\\*61 scaling, beyond the 2\\*\\*60 guard"):
-                fundamental._squarings(ev, np.array([x]))
+                fundamental._squarings(ev, np.array(xs))
 
 
 class TestDerivativeTable:
@@ -576,23 +584,32 @@ class TestDerivativeTable:
         for m in range(5):
             assert eval_derivative(ev, m, 1.3) == row[m]
 
-    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("which", [0, 1, 2])
     def test_single_abscissa_is_its_batch_row_exactly(self, which):
-        # One abscissa goes to the kernel without an output buffer; its row must
-        # equal, bit for bit, its row in batches whose depths need sorting (one
-        # slice and several), and in a batch at depth 0 throughout.
-        ev = build_evaluator(twelve_frequency_vectors()[which])
+        # One abscissa takes the kernel's route on Python scalars; its row must equal,
+        # bit for bit, its row in batches whose depths need sorting (one slice and
+        # several), in a batch at depth 0 throughout with x = 0 of either sign, and in
+        # a batch past depth 9, squared under np.errstate.  Real, paired and, through
+        # eval_derivative_complex, not conjugate-closed frequencies.
+        real, pairs = twelve_frequency_vectors()
+        entries = (real, pairs, [v + 0.2j for v in pairs])[which]
+        ev = build_evaluator(entries)
         rows = fundamental._order_rows(ev, 13)
+        unit = fundamental._THETA / ev.norm
         mixed = np.array([5.0, 0.01, -3.0, 0.7, 30.0, 0.0, -0.02, 2.5])
-        small = np.array([0.01, -0.02, 0.0, 0.005])
+        small = np.array([0.01, -0.02, 0.0, -0.0, 0.005])
         long = np.linspace(-20.0, 20.0, 61)
+        deep = unit * np.array([0.6 * 2 ** 10, -0.0, -0.55 * 2 ** 10, 3.0])
         assert len(set(fundamental._squarings(ev, mixed))) >= 4
         assert not fundamental._squarings(ev, small).any()
         assert len(long) > fundamental._CHUNK_ENTRIES // len(ev.diagonal) ** 2
-        for xs in (mixed, small, long):
+        assert fundamental._squarings(ev, deep).tolist() == [10, 0, 10, 2]
+        single = eval_derivative if ev.realify else eval_derivative_complex
+        for xs in (mixed, small, long, deep):
             batch = fundamental._table(ev, xs, rows)
             for x, row in zip(xs, batch):
                 assert np.array_equal(fundamental._table(ev, [x], rows)[0], row), x
+                assert single(ev, 13, x) == row[13], x
 
     def test_evaluators_compare_by_frequencies(self):
         ev = build_evaluator([-1, -2])

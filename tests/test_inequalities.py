@@ -347,6 +347,11 @@ class TestIdentityResidual:
         with pytest.raises(ValueError, match="abscissae must be finite"):
             identity_residual(build_evaluator([-1, -2]), [1.0, 1.0], x)
 
+    def test_non_finite_coefficient_is_refused(self):
+        # A NaN coefficient ran Fejer rules up to order 4096, then raised "did not stabilize".
+        with pytest.raises(ValueError, match="coefficient a_0 = nan is not finite"):
+            identity_residual(build_evaluator([-1, -2]), [math.nan, 1.0], 0.5)
+
     def test_one_kernel_call_when_the_first_orders_agree(self, monkeypatch):
         # The left side's row at x rides with the 31 nodes of the first Fejer rule, and
         # the rules of orders 16 and 32 agree here, so no further node is evaluated.
@@ -364,6 +369,11 @@ class TestDominance:
             ev = build_evaluator(entries)
             poly = [0.4] + [0.1] * ev.n
             assert abs(dominance_gap(ev, poly, 0.0)) <= 1e-12
+
+    def test_non_finite_coefficient_is_refused(self):
+        # An infinite coefficient gave a NaN gap.
+        with pytest.raises(ValueError, match="coefficient a_0 = inf is not finite"):
+            dominance_gap(build_evaluator([-1, -2]), [math.inf, 0.0], 0.5)
 
     def test_gap_is_exactly_zero_at_origin(self):
         assert dominance_gap(build_evaluator([0, 1, -1]), [1.0], 0.0) == 0.0
@@ -530,6 +540,13 @@ class TestPolynomialNonnegativity:
         # A positive constant came out False on [0, inf), with a numpy warning.
         with pytest.raises(ValueError, match="finite"):
             polynomial_nonnegative_on([1.0], lo, hi)
+
+    @pytest.mark.parametrize("coeffs", [[math.inf], [1.0, -math.inf], [0.0, 1.0, math.nan]])
+    def test_non_finite_coefficients_refused(self, coeffs):
+        # [inf] was called nonnegative on [0, 1].
+        index = next(i for i, c in enumerate(coeffs) if not math.isfinite(c))
+        with pytest.raises(ValueError, match=f"coefficient a_{index} = .* is not finite"):
+            polynomial_nonnegative_on(coeffs, 0.0, 1.0)
 
 
 class TestPositiveDefinite:
