@@ -10,8 +10,7 @@ Each command is a ``_cmd_*`` function whose parameters are its config keys:
 a parameter without a default is a required key, one with a default an
 optional key.  ``_KEYS`` maps every key to the parser that checks its JSON
 value, and ``_arguments`` checks a configuration against a command and calls
-it.  The ``output`` object is accepted by every command; ``main`` parses it
-before the command runs.
+it.
 
 Layers load on first use.  The module imports only ``frequencies`` and
 ``fundamental``, all that ``eval`` runs; each command and config parser
@@ -59,7 +58,7 @@ def _fmt(value) -> str:
 
 
 def _number(raw):
-    """A finite JSON number, not a bool, kept as written (reports echo ``tol``)."""
+    """A finite JSON number, not a bool, kept as written."""
     if type(raw) not in (int, float) or not abs(raw) <= sys.float_info.max:
         raise ConfigError(f"{raw!r} is not a finite number")
     return raw
@@ -71,12 +70,6 @@ def _integer(least: int):
             raise ConfigError(f"must be an integer >= {least}")
         return raw
     return parse
-
-
-def _tolerance(raw):
-    if _number(raw) < 0:
-        raise ConfigError(f"must be nonnegative, got {raw!r}")
-    return raw
 
 
 def _sign(raw) -> int:
@@ -105,16 +98,6 @@ def _interval(raw) -> tuple:
     if not math.isfinite(hi - lo):
         raise ConfigError(f"width hi - lo overflows the float range, got [{lo}, {hi}]")
     return lo, hi
-
-
-def _output(raw) -> dict:
-    if not isinstance(raw, dict) or not set(raw) <= {"path", "format"}:
-        raise ConfigError("'output' must be an object with keys path/format")
-    if "path" in raw and (not isinstance(raw["path"], str) or not raw["path"]):
-        raise ConfigError(f"'output.path' must be a nonempty string, got {raw['path']!r}")
-    if "format" in raw and raw["format"] not in ("csv", "json"):
-        raise ConfigError(f"'output.format' must be csv or json, got {raw['format']!r}")
-    return raw
 
 
 def _measure(raw) -> Measure:
@@ -160,10 +143,8 @@ _KEYS = {
     "k": _integer(0),
     "samples": _integer(1),
     "grid": _integer(64),
-    "tol": _tolerance,
     "sign": _sign,
     "measure": _measure,
-    "output": _output,
 }
 
 
@@ -207,14 +188,14 @@ def _cmd_eval(frequencies, interval, m=0, samples=65):
 
 
 # grid=4096 is inequalities.DEFAULT_GRID, written out because a default is evaluated at import.
-def _cmd_verify(frequencies, m, interval, grid=4096, tol=1e-10, sign=1):
+def _cmd_verify(frequencies, m, interval, grid=4096, sign=1):
     from .inequalities import verify_sign
 
     lo, hi = interval
     if not lo < hi:
         raise ConfigError(f"bad interval [{lo}, {hi}]")
     ev = build_evaluator(frequencies)
-    rep = verify_sign(ev, m, lo, hi, grid=grid, tol=tol, sign=sign)
+    rep = verify_sign(ev, m, lo, hi, grid=grid, sign=sign)
     payload = {
         "m": m,
         "interval": [lo, hi],
@@ -227,7 +208,7 @@ def _cmd_verify(frequencies, m, interval, grid=4096, tol=1e-10, sign=1):
     return payload, rep.status == "violated"
 
 
-def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
+def _cmd_hankel(frequencies, k, interval, samples=129):
     if 2 * k > frequencies.n + 1:
         raise ConfigError(f"k={k} too large for {frequencies.n + 1} frequencies (need 2k <= n + 1)")
     from .inequalities import _hankel, _refine_sign_change, _scaled, is_positive_definite
@@ -237,7 +218,7 @@ def _cmd_hankel(frequencies, k, interval, samples=129, tol=0.0):
     xs = np.linspace(lo, hi, samples)
     top = max(frequencies.n, 2 * k)
     mats = _hankel(_scaled(derivative_grid(ev, lo, hi, samples, top)), k + 1)
-    rows = [[float(x), float(det), is_positive_definite(h, tol)]
+    rows = [[float(x), float(det), is_positive_definite(h)]
             for x, det, h in zip(xs, np.linalg.det(mats), mats)]
 
     # Refined abscissae where the determinant changes sign, by secant steps from the cell
@@ -277,14 +258,14 @@ def _cmd_turan(frequencies, interval, samples=65):
     return payload, violated
 
 
-def _cmd_moments(frequencies, measure, tol=None):
+def _cmd_moments(frequencies, measure):
     from .moments import hausdorff_check, recover_measure, transform
 
     ev = build_evaluator(frequencies)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         seq = transform(ev, measure)
-    report = hausdorff_check(seq, tol)
+    report = hausdorff_check(seq)
 
     atoms = None
     residuals = None
@@ -396,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--assert", dest="assert_mode", action="store_true",
                         help="exit 1 when the command reports a violation")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None,
+    parser.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="output format (default csv)")
     return parser
 
@@ -412,7 +393,6 @@ def main(argv=None) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
-        output = _KEYS["output"](config.pop("output", {}))
         # Overflow surfaces as the library's OverflowError; numpy's warning would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             payload, violated = _arguments(_COMMANDS[args.command], config)
@@ -424,12 +404,10 @@ def main(argv=None) -> int:
         return 3
 
     payload = {"command": args.command, **payload}
-    fmt = args.format or output.get("format") or "csv"
-    text = _render_json(payload) if fmt == "json" else _render_csv(payload)
+    text = _render_json(payload) if args.format == "json" else _render_csv(payload)
 
-    path = args.out or output.get("path")
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

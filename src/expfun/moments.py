@@ -174,7 +174,12 @@ def _density_transform(ev: FundamentalEvaluator, mu: Measure) -> np.ndarray:
     n = ev.n
 
     def values(xs):
-        dens = np.array([mu.density(x) for x in xs.tolist()])
+        nodes = xs.tolist()
+        dens = np.array([mu.density(x) for x in nodes])
+        finite = np.isfinite(dens)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"density is {float(dens[i])} at the quadrature node {nodes[i]!r}")
         if np.any(dens < -1e-12 * (1.0 + np.abs(dens).max())):
             raise ValueError("density is negative at a quadrature node")
         keep = dens != 0.0

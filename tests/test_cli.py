@@ -475,15 +475,22 @@ class TestHarness:
         assert code == 2 and out == "" and "config error" in err and "output" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
-    def test_output_settings_from_config(self, tmp_path, capsys):
-        target = tmp_path / "from_config.json"
-        cfg = write_config(tmp_path, {
-            "frequencies": [-1, 0, 1],
-            "output": {"path": str(target), "format": "json"},
-        })
-        code, out, _ = run(capsys, ["certify", "--config", cfg])
-        assert code == 0 and out == ""
-        assert json.loads(target.read_text())["command"] == "certify"
+    @pytest.mark.parametrize("command, config, key", [
+        ("verify", {"frequencies": [-1, -2], "m": 0, "interval": [0, 3], "tol": 1e-3}, "tol"),
+        ("hankel", {"frequencies": [-1, -2], "k": 1, "interval": [0, 3], "tol": 0.0}, "tol"),
+        ("moments", {"frequencies": [-1, -2], "tol": 1.0, "measure": {
+            "kind": "atoms", "support": [0, 1.5], "atoms": [[0.5, 1.0]]}}, "tol"),
+        ("certify", {"frequencies": [-1, 0, 1],
+                     "output": {"path": "from_config.json", "format": "json"}}, "output"),
+    ], ids=["verify_tol", "hankel_tol", "moments_tol", "certify_output"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, monkeypatch, command, config, key):
+        # The CLI has no tolerance key and no output object: --out and --format alone
+        # say where and how a report is written.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, config)])
+        assert code == 2 and out == ""
+        assert f"unknown config keys: ['{key}']" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 class TestImportGraph:

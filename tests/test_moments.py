@@ -155,6 +155,24 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform(ev, Measure.from_density(lambda x: x - 0.5, (0.0, 1.0)))
 
+    @pytest.mark.parametrize("bad, value", [
+        (lambda x: math.nan if x > 0.5 else 1.0, "nan"),
+        (lambda x: math.inf if abs(x - 0.3) < 0.01 else 1.0, "inf"),
+    ], ids=["nan_above_half", "inf_near_0.3"])
+    def test_non_finite_density_refused_in_the_first_call(self, bad, value):
+        # The first call of the nested Fejer rules evaluates the 127 nodes of order 128;
+        # a non-finite value there is refused before any quadrature sum is formed.
+        calls = []
+
+        def density(x):
+            calls.append(x)
+            return bad(x)
+
+        ev = build_evaluator([-1, 1, -2, 2])
+        with pytest.raises(ValueError, match=f"density is {value} at the quadrature node"):
+            transform(ev, Measure.from_density(density, (0.0, 1.0)))
+        assert len(calls) <= 127
+
 
 class TestRieszFunctional:
     def test_constant_polynomial(self):
