@@ -36,7 +36,12 @@ same abscissa.  The two entry points:
   three offsets, so about 4 count**(1/4) exponentials serve the whole grid
   (32 for 4096 points on one side of 0, three of them the identity at
   offset 0), and three BLAS matrix products per side of 0 apply them.
-  The CLI ``eval``, ``hankel`` and ``turan`` tables use it.
+  It never forms the grid: the anchors and the split at 0 are computed on
+  demand by ``linspace``'s own formula (``_abscissae``), bit for bit, and
+  each side's offsets come from a plan cached per side length.  A grid on
+  one side of 0 returns the rows of its last product with no copy,
+  reversed on the negative side.  The CLI ``eval``, ``hankel`` and
+  ``turan`` tables use it.
 
 Both read the orders off the last column c of each exponential as
 (e_0 A**j / P) . c.  The evaluator stores the rows e_0 A**j / P of the
@@ -104,9 +109,13 @@ _QUIET_DEPTH = 9
 #: The context the squarings run in up to ``_QUIET_DEPTH``: none, shared by every call.
 _NO_ERRSTATE = nullcontext()
 
-#: Matrix entries per stacked array in one ``_table`` slice; this
-#: bounds the kernel's working memory whatever the number of abscissae.
-_CHUNK_ENTRIES = 4096
+#: Matrix entries per stacked array in one ``_table`` slice; this bounds the
+#: kernel's working memory (a few arrays of 2**16 floats, 512 kB each) whatever
+#: the number of abscissae.  A row does not depend on the other abscissae of a
+#: call, so the slice size changes no bit; at 4096 entries a slice held only 3
+#: to 5 abscissae once n+1 >= 27, and the fixed cost of each kernel call
+#: dominated.
+_CHUNK_ENTRIES = 2 ** 16
 
 #: Orders past n whose rows e_0 A**j / P every evaluator stores: n+3 is the
 #: highest order the library reads itself, in the sign scan of order n+1 that
@@ -315,9 +324,10 @@ def _divisors(count: int) -> np.ndarray:
 def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     """expm(x*A) for every abscissa x in the nonempty xs, stacked in the order of xs.
 
-    Each x is scaled to t = x / 2**depth, so that |t| nu <= theta with nu =
-    ``ev.norm``, and the Taylor polynomial of degree n + 18 is written in the
-    evaluator's power basis, sum_k (t nu)**k / k! (A/nu)**k: one product of
+    Each x is scaled to t = x / 2**depth, one ``np.ldexp`` for the batch, so
+    that |t| nu <= theta with nu = ``ev.norm``, and the Taylor polynomial of
+    degree n + 18 is written in the evaluator's power basis,
+    sum_k (t nu)**k / k! (A/nu)**k: one product of
     the (len(xs), n + 19) coefficient array with ``ev.powers`` builds it for
     every x, with no solve, and the squarings follow.  The product is
     stacked, one 1 x (n + 19) by (n + 19) x (n+1)**2 product per matrix,
@@ -364,7 +374,7 @@ def _exponentials(ev: FundamentalEvaluator, xs: np.ndarray) -> np.ndarray:
     if (depth[1:] < depth[:-1]).any():
         order = np.argsort(depth, kind="stable")
         depth, xs = depth[order], xs[order]
-    t = xs / 2.0 ** depth
+    t = np.ldexp(xs, -depth)
     coeffs = np.ones((len(xs), terms))
     np.multiply.accumulate((t * ev.norm)[:, None] / divisors, axis=1, out=coeffs[:, 1:])
     r = (coeffs[:, None, :] @ ev.powers).reshape(len(xs), dim, dim)
@@ -541,27 +551,37 @@ def derivative_grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
     q2*s**2*h, each offset rounded once, which agrees with ``linspace``'s
     abscissa to a few ulps of max(|lo|, |hi|); it is exact at the anchors.
 
+    The grid is never formed as an array: its anchors and the split at 0
+    are ``linspace``'s entries computed on demand (``_abscissae``).  A grid
+    on one side of 0 returns a view of the rows of its last product,
+    reversed (negative strides) when the side lies left of 0; a grid across
+    0, or of one abscissa, returns a fresh array.
+
     Raises ValueError for non-finite bounds, lo > hi, a count that is not an
     integer or is below 1, an order that is not an integer or is negative, a
     vector that is not conjugate-closed, and abscissae beyond the squaring
     guard, and OverflowError for a value that is not finite.
     """
-    return _grid(ev, lo, hi, count, _order_rows(ev, _integer(max_order, "max_order")))[1]
+    return _grid(ev, lo, hi, count, _order_rows(ev, _integer(max_order, "max_order")))
 
 
 def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
-          rows: np.ndarray) -> tuple:
-    """``derivative_grid`` for the given rows e_0 A**j / P: the abscissae and the values.
+          rows: np.ndarray) -> np.ndarray:
+    """``derivative_grid`` for the given rows e_0 A**j / P: one value column per row.
 
-    Returns ``(xs, values)``: xs is the grid ``np.linspace(lo, hi, count)``
-    that the values sample, one value column per row, so that a caller
-    reads the abscissae without forming the grid again.  ``verify_sign``
-    passes only the orders it reads, the same rows that it passes to
-    ``_table`` to refine a sign change.  The bounds are checked before any
-    abscissa is formed.  Every factor of both sides comes from one kernel
-    call, and the values of both sides from one overflow check on the
-    finished table.  Raises as ``derivative_grid`` does, except for the
-    order, which ``_order_rows`` checks.
+    The values sample the grid ``np.linspace(lo, hi, count)``, whose
+    abscissae are never formed: the anchors, the split at 0 and any abscissa
+    a caller reports come from ``_abscissae``, bit for bit those of
+    ``linspace``.  ``verify_sign`` passes only the orders it reads, the same
+    rows that it passes to ``_table`` to refine a sign change.  The bounds
+    are checked before any abscissa is formed.  Every factor of both sides
+    comes from one kernel call on the cached plan of each side
+    (``_side_plan``), and the values of both sides from one overflow check
+    on the finished values.  A grid on one side of 0 returns the rows of
+    its last product as they are, reversed on the negative side, and only a
+    grid across 0 copies both sides into one table.  Raises as
+    ``derivative_grid`` does, except for the order, which ``_order_rows``
+    checks.
     """
     _require_conjugate_closed(ev)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -570,38 +590,34 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
         raise ValueError(f"need lo <= hi, got [{lo!r}, {hi!r}]")
     if not math.isfinite(float(hi) - float(lo)):
         raise ValueError(f"grid width hi - lo overflows the float range, got [{lo!r}, {hi!r}]")
-    if _integer(count, "count") < 1:
+    count = _integer(count, "count")
+    if count < 1:
         raise ValueError(f"need at least one grid point, got count={count!r}")
-    xs = np.linspace(lo, hi, count)
+    lo, hi = float(lo), float(hi)
     if lo == hi or count == 1:
         # One abscissa, possibly repeated: a zero offset would only add rounding.
-        return xs, np.repeat(_table(ev, xs[:1], rows), count, axis=0)
+        return np.repeat(_table(ev, _abscissae(lo, hi, count, [0]), rows), count, axis=0)
     # The 2**60 guard on every abscissa, not only on the factors: depth grows with |x|,
     # so the two ends decide it.
     _guard(ev, max(abs(lo), abs(hi)))
     step = (hi - lo) / (count - 1)
-    split = int(np.searchsorted(xs, 0.0))
-    # Each side: the slice of grid indices outward from 0, its length, and the abscissae
-    # of its anchors and, from one product, of its offsets q*s**k*h, 0 <= q < s, at levels
-    # k = 2, 1, 0, q = 0 giving I exactly.  An offset past the side's last point is left out
-    # (only a one-block side has one), so no factor lies farther from 0 than its points.
+    split = _first_nonnegative(lo, hi, count)
+    # Each side: its grid indices outward from 0, and the abscissae of its anchors and of
+    # its offsets q*s**k*h, 0 <= q < s, at levels k = 2, 1, 0 (``_side_plan``).
     sides, ts, sizes = [], [], []
-    for side, length, h in ((slice(split - 1, None, -1), split, -step),
-                            (slice(split, None), count - split, step)):
-        if length:
-            s = round(length ** (1 / 4))
-            s += s ** 4 < length
-            anchors = xs[side][::s ** 3]
-            levels = [range(0, min(s ** (k + 1), length), s ** k) for k in (2, 1, 0)]
-            ts += [anchors, h * np.array([*levels[0], *levels[1], *levels[2]], float)]
-            sizes += [len(anchors), *map(len, levels)]
-            sides.append((side, length))
+    for side, h in ((range(split - 1, -1, -1), -step), (range(split, count), step)):
+        if side:
+            s, offsets, levels = _side_plan(len(side))
+            anchors = _abscissae(lo, hi, count, side[::s ** 3])
+            ts += [anchors, h * offsets]
+            sizes += [len(anchors), *levels]
+            sides.append(side)
     mats = _exponentials(ev, np.concatenate(ts))
     parts = [mats[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
     dim = len(ev.diagonal)
-    out = np.empty((count, len(rows)))
+    values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (side, length) in enumerate(sides):
+        for i, side in enumerate(sides):
             # A level's factors side by side, [I | F_1^T | ...], are the transposed view of
             # their stack (the layout of an operand decides how BLAS rounds a product): c^T
             # times it is [c^T, (F_1 c)^T, ...], so one product applies a level to many columns.
@@ -619,8 +635,69 @@ def _grid(ev: FundamentalEvaluator, lo: float, hi: float, count: int,
             cols = anchors[:, :, -1]
             for level in offsets:
                 cols = (cols @ level.transpose(2, 0, 1).reshape(dim, -1)).reshape(-1, dim)
-            out[side] = (cols @ folded).reshape(-1, len(rows))[:length]
-    return xs, _finite(out)
+            # Back in grid order: the negative side runs outward from 0, so it is reversed.
+            values.append((cols @ folded).reshape(-1, len(rows))[:len(side)][::side.step])
+    return _finite(values[0] if len(values) == 1 else np.concatenate(values))
+
+
+def _abscissae(lo: float, hi: float, count: int, indices) -> list:
+    """``np.linspace(lo, hi, count)[k]`` for every index k in ``indices``, bit for bit, as floats.
+
+    numpy's own formula, one rounding per operation as numpy rounds it:
+    k * step + lo with step = (hi - lo) / (count - 1), the last index
+    exactly hi, and k / (count - 1) * (hi - lo) + lo where the step rounds
+    to 0 (subnormal bounds, as in ``linspace(0.0, 5e-324, 4096)``); a
+    single point is 0.0 * (hi - lo) + lo.  The bounds are read as floats and
+    the results are Python floats; indices run from 0 to count - 1.
+    """
+    lo, hi = float(lo), float(hi)
+    last = int(count) - 1
+    width = hi - lo
+    if last < 1:
+        return [0.0 * width + lo for _ in indices]
+    step = width / last
+    if step == 0.0:
+        return [hi if k == last else k / last * width + lo for k in indices]
+    return [hi if k == last else k * step + lo for k in indices]
+
+
+def _first_nonnegative(lo: float, hi: float, count: int) -> int:
+    """The first grid index whose abscissa is >= 0.0, for float bounds lo < hi and count >= 2.
+
+    It is ``np.searchsorted(np.linspace(lo, hi, count), 0.0)``.  The abscissae never decrease
+    (each operation of ``_abscissae`` rounds monotonically), so a guess at
+    the exact crossing is walked down and up to the first abscissa >= 0.0;
+    the guess is at most one index off unless the step rounds to 0.
+    """
+    if lo >= 0.0:
+        return 0
+    if hi < 0.0:
+        return count
+    k = min(max(math.ceil(-lo / (hi - lo) * (count - 1)), 1), count - 1)
+    while _abscissae(lo, hi, count, [k - 1])[0] >= 0.0:
+        k -= 1
+    while _abscissae(lo, hi, count, [k])[0] < 0.0:
+        k += 1
+    return k
+
+
+@lru_cache
+def _side_plan(length: int) -> tuple:
+    """The factor plan of a grid side of ``length`` points: (s, offsets, level sizes).
+
+    s = ceil(length ** (1/4)); ``offsets`` is the read-only float array of
+    the multipliers q*s**k of the step, 0 <= q < s, at levels k = 2, 1, 0,
+    q = 0 giving I exactly.  An offset past the side's last point is left
+    out (only a one-block side has one), so no factor lies farther from 0
+    than its points; the sizes are the three levels' lengths.  The cache
+    keeps the plans of the 128 most recently used lengths.
+    """
+    s = round(length ** (1 / 4))
+    s += s ** 4 < length
+    levels = [range(0, min(s ** (k + 1), length), s ** k) for k in (2, 1, 0)]
+    offsets = np.array([*levels[0], *levels[1], *levels[2]], float)
+    offsets.setflags(write=False)
+    return s, offsets, tuple(map(len, levels))
 
 
 def eval_derivative_complex(ev: FundamentalEvaluator, m: int, x: float) -> complex:

@@ -34,6 +34,7 @@ import numpy as np
 from .frequencies import _integer, _tolerance, as_frequency_vector
 from .fundamental import (
     FundamentalEvaluator,
+    _abscissae,
     _grid,
     _order_rows,
     _table,
@@ -258,7 +259,7 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
     The boundary's bracket holds the sign change of the computed Phi^(m),
     which can sit outside it where the slope is small against the value's
     rounding error: ``verify_sign(build_evaluator([-1e-6, -2e-6]), 2, 0.0,
-    3e6)`` brackets 1386294.3611002, while the zero is 2 ln 2 * 1e6 =
+    3e6)`` brackets 1386294.3611457, while the zero is 2 ln 2 * 1e6 =
     1386294.3611199.
     """
     if not lo < hi:
@@ -273,14 +274,14 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
 
     rows = _order_rows(ev, m + 2)[m:]
     rows = rows if sign == 1 else -rows
-    xs, samples = _grid(ev, lo, hi, grid, rows)
+    samples = _grid(ev, lo, hi, grid, rows)
     vals = samples[:, 0]
     bad = np.flatnonzero(vals < -tol)
     if bad.size == 0:
         return SignReport("nonnegative", None, None, grid, sign)
 
     i = int(bad[0])
-    witness = float(xs[i])
+    witness, = _abscissae(lo, hi, grid, [i])
     if i > 0 and vals[i - 1] >= 0.0:
         # Entered the negative region: refine the crossing on its left.
         j = i
@@ -290,8 +291,9 @@ def verify_sign(ev: FundamentalEvaluator, m: int, lo: float, hi: float,
         if not after.size:
             return SignReport("violated", witness, None, grid, sign)
         j = i + int(after[0])
-    boundary = _refine_sign_change(lambda ts: _table(ev, ts, rows).tolist(), float(xs[j - 1]),
-                                   float(xs[j]), samples[j - 1].tolist(), samples[j].tolist())
+    boundary = _refine_sign_change(lambda ts: _table(ev, ts, rows).tolist(),
+                                   *_abscissae(lo, hi, grid, [j - 1, j]),
+                                   samples[j - 1].tolist(), samples[j].tolist())
     return SignReport("violated", witness, boundary, grid, sign)
 
 

@@ -551,7 +551,7 @@ class TestExponentialsOracle:
 class TestDerivativeTable:
     def test_rows_match_partial_fractions(self):
         # A 12-frequency grid reaching squaring depths 0..3 over several chunks.
-        xs = np.linspace(-2.5, 8.0, 301)
+        xs = np.linspace(-2.5, 8.0, 2 * fundamental._CHUNK_ENTRIES // 144 + 1)
         for entries in twelve_frequency_vectors() + ([-1, -2], [0.5, 1j, -1j]):
             ev = build_evaluator(entries)
             max_order = len(entries) + 1
@@ -598,7 +598,7 @@ class TestDerivativeTable:
         unit = fundamental._THETA / ev.norm
         mixed = np.array([5.0, 0.01, -3.0, 0.7, 30.0, 0.0, -0.02, 2.5])
         small = np.array([0.01, -0.02, 0.0, -0.0, 0.005])
-        long = np.linspace(-20.0, 20.0, 61)
+        long = np.linspace(-20.0, 20.0, 2 * fundamental._CHUNK_ENTRIES // len(ev.diagonal) ** 2 + 1)
         deep = unit * np.array([0.6 * 2 ** 10, -0.0, -0.55 * 2 ** 10, 3.0])
         assert len(set(fundamental._squarings(ev, mixed))) >= 4
         assert not fundamental._squarings(ev, small).any()
@@ -929,7 +929,7 @@ class TestDerivativeGrid:
         # _grid with the rows of orders m..m+2 only, as verify_sign calls it, against
         # the columns m.. of the full grid: real and conjugate vectors, grids left
         # of, right of and across 0, the one-point path, and every m from 0 to n+1.
-        # The abscissae _grid returns are the grid's linspace.
+        # _grid forms no abscissa; those it samples, from _abscissae, are the grid's linspace.
         rng = np.random.default_rng(43)
         vectors = [twelve_frequency_vectors()[0], twelve_frequency_vectors()[1], [-1, -2]]
         vectors += [list(rng.uniform(-2.0, 2.0, int(rng.integers(2, 9)))) for _ in range(3)]
@@ -940,12 +940,65 @@ class TestDerivativeGrid:
             ev = build_evaluator(entries)
             n = len(entries) - 1
             for lo, hi, count in grids:
+                xs = fundamental._abscissae(lo, hi, count, range(count))
+                assert np.array(xs).tobytes() == np.linspace(lo, hi, count).tobytes()
                 full = derivative_grid(ev, lo, hi, count, n + 3)
                 scale = np.abs(full).max(axis=0)
                 for m in range(n + 2):
                     rows = fundamental._order_rows(ev, m + 2)[m:]
-                    xs, part = fundamental._grid(ev, lo, hi, count, rows)
-                    assert np.array_equal(xs, np.linspace(lo, hi, count))
+                    part = fundamental._grid(ev, lo, hi, count, rows)
                     assert part.shape == (count, 3) and part.dtype == np.float64
                     assert np.all(np.abs(part - full[:, m:m + 3]) <= 1e-12 * scale[m:m + 3]), \
                         (entries, lo, hi, count, m)
+
+    def test_negative_side_is_reversed_view(self):
+        # A grid left of 0 returns the rows of its last product, reversed, with no copy:
+        # the values still match the table on the same linspace abscissae.
+        for entries in ([-1.0, -2.0, 0.5, 1.5], [0.5, 1 + 2j, 1 - 2j, -0.3],
+                        twelve_frequency_vectors()[1]):
+            ev = build_evaluator(entries)
+            for lo, hi, count in ((-7.0, -0.5, 4096), (-3.0, -1e-3, 65), (-2.0, -1e-300, 2)):
+                grid = derivative_grid(ev, lo, hi, count, len(entries))
+                assert grid.base is not None and grid.strides[0] < 0
+                table = derivative_table(ev, np.linspace(lo, hi, count), len(entries))
+                scale = np.abs(table).max(axis=0)
+                assert np.all(np.abs(grid - table) <= 1e-12 * scale), (entries, lo, hi, count)
+
+
+#: Grids at the edges of numpy's linspace formula: a step that rounds to 0,
+#: hi < 0, lo < 0 < hi with 0 a grid point, -0.0 bounds, equal bounds.
+LINSPACE_EDGES = [(0.0, 5e-324), (-5e-324, 5e-324), (-4e-320, 7e-320), (-7.0, -0.5),
+                  (-1.0, -1e-300), (-2.0 ** -9, 2.0 ** -9 * 63), (-3.0, 3.0), (-0.0, 1.0),
+                  (-1.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (2.0, 2.0), (-1e-300, 1.0),
+                  (-8e307, 8e307)]
+
+
+class TestAbscissae:
+    @pytest.mark.parametrize("count", [1, 2, 3, 64, 65, 4096])
+    def test_edges_match_linspace(self, count):
+        for lo, hi in LINSPACE_EDGES:
+            xs = fundamental._abscissae(lo, hi, count, range(count))
+            ref = np.linspace(lo, hi, count)
+            assert np.array(xs).tobytes() == ref.tobytes(), (lo, hi, count)
+
+    def test_random_grids_match_linspace(self):
+        rng = np.random.default_rng(53)
+        for _ in range(400):
+            lo, hi = sorted(rng.uniform(-10.0, 10.0, 2) * 10.0 ** rng.integers(-8, 8))
+            count = int(rng.choice([2, 3, 64, 65, 4096, rng.integers(2, 5000)]))
+            ref = np.linspace(lo, hi, count)
+            picks = rng.integers(0, count, 5).tolist() + [0, count - 1]
+            assert np.array(fundamental._abscissae(lo, hi, count, picks)).tobytes() == \
+                ref[picks].tobytes(), (lo, hi, count)
+
+    def test_split_matches_searchsorted(self):
+        rng = np.random.default_rng(59)
+        grids = [(lo, hi, count) for lo, hi in LINSPACE_EDGES if lo < hi
+                 for count in (2, 3, 64, 65, 4096)]
+        for _ in range(300):
+            lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
+            grids.append((lo, hi, int(rng.integers(2, 5000))))
+            grids.append((-float(rng.uniform(0.0, 1e-12)), hi + 5.0, int(rng.integers(2, 5000))))
+        for lo, hi, count in grids:
+            expected = int(np.searchsorted(np.linspace(lo, hi, count), 0.0))
+            assert fundamental._first_nonnegative(lo, hi, count) == expected, (lo, hi, count)

@@ -199,6 +199,39 @@ class TestVerifySign:
         zero = zero_via_mpmath(LARGE_PAIR_FIRST, m, rep.boundary)
         assert abs(rep.boundary - zero) <= 1e-12, (rep.boundary, zero)
 
+    def test_witness_and_bracket_ends_are_linspace_entries(self, monkeypatch):
+        # The scan forms no abscissa: the witness and the ends of the refined cell are
+        # read off _abscissae, and must be the grid's linspace entries, bit for bit, on
+        # grids right of, left of and across 0 (one starting a hair below 0).
+        ends = []
+        refine = inequalities._refine_sign_change
+
+        def recording(probe, lo, hi, row_lo, row_hi):
+            ends.append((lo, hi))
+            return refine(probe, lo, hi, row_lo, row_hi)
+
+        monkeypatch.setattr(inequalities, "_refine_sign_change", recording)
+        cases = [([-1, -2], 2, 0.0, 3.0, 1), ([-1, -2], 1, 0.1, 3.0, 1),
+                 ([-1, -2], 2, -1.0, 3.0, 1), ([-1, -2], 2, -3e-13, 3.0, 1),
+                 ([1, 2], 2, -3.0, -0.25, -1), ([0.5 + 1j, 0.5 - 1j], 2, -0.7, 2.0, 1)]
+        for entries, m, lo, hi, sign in cases:
+            ends.clear()
+            for grid in (64, 65, 4096):
+                rep = verify_sign(build_evaluator(entries), m, lo, hi, grid=grid, sign=sign)
+                xs = np.linspace(lo, hi, grid).tolist()
+                assert rep.status == "violated" and rep.witness in xs, (entries, m, lo, hi, grid)
+                assert rep.boundary is not None
+                a, b = ends[-1]
+                assert xs.index(b) == xs.index(a) + 1 and a <= rep.boundary <= b, (lo, hi, grid)
+
+    def test_deep_boundary_of_the_docstring(self):
+        # The example of verify_sign's docstring: at depth 22 the computed Phi'' changes
+        # sign 2.6e-5 past its true zero 2 ln 2 * 1e6, and the bracket holds the former.
+        rep = verify_sign(build_evaluator([-1e-6, -2e-6]), 2, 0.0, 3e6)
+        assert rep.status == "violated"
+        assert abs(rep.boundary - 1386294.3611457) <= 1e-6, rep.boundary
+        assert abs(rep.boundary - LOG2_TWICE * 1e6) > 2e-5, rep.boundary
+
 
 def count_tables(monkeypatch):
     """Record every _grid scan and _table probe made from inequalities: kind, points, rows object."""
